@@ -171,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the per-iteration trace as JSON lines")
     p_solve.add_argument("--dot", default=None,
                          help="dump the final exchange graph in DOT format")
-    p_solve.add_argument("--seed", type=int, default=0,
-                         help="accepted for interface uniformity; the solver "
-                         "is deterministic")
     p_solve.set_defaults(func=cmd_solve)
 
     p_audit = sub.add_parser("audit", help="audit an allocation file")

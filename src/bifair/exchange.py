@@ -14,7 +14,7 @@ owner whole, and shrinks the path's final bundle by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .valuation import GoodSet, Instance
@@ -36,16 +36,16 @@ def f_set(instance: Instance, clean: CleanBundles, i: int) -> GoodSet:
     These are exactly the goods worth the high value c to agent i on top of
     what they already hold; the agent's transfer paths start here.
     """
-    matroid = instance.valuation(i).matroid
-    bundle = clean[i]
-    return frozenset(
-        g for g in range(instance.m) if matroid.can_extend(bundle, g)
-    )
+    return frozenset(instance.valuation(i).matroid.extensions(clean[i]))
 
 
 @dataclass
 class ExchangeGraph:
-    """Exchange graph over a clean allocation, with lazily computed edges."""
+    """Exchange graph over a clean allocation, with lazily computed edges.
+
+    ``owner`` maps each good to the index of the bundle holding it. A solver
+    keeps one graph for a whole solve and moves it along with ``update``.
+    """
 
     instance: Instance
     clean: CleanBundles
@@ -67,12 +67,20 @@ class ExchangeGraph:
             # (the pool is either the search target or skippable), so this
             # matches the rank-preservation rule wherever paths matter.
             return [h for h in range(self.instance.m) if h != g]
-        remainder = bundle - {g}
         matroid = self.instance.valuation(j).matroid
-        return [
-            h for h in range(self.instance.m)
-            if h not in bundle and matroid.can_extend(remainder, h)
-        ]
+        return [h for h in matroid.extensions(bundle - {g}) if h not in bundle]
+
+    def update(self, clean: CleanBundles, path: Sequence[int], receiver: int) -> None:
+        """Move to ``clean``, the result of ``augment`` along ``path``.
+
+        Only the path's goods change owner: the first goes to ``receiver``
+        and each later one to the previous good's owner.
+        """
+        owner = self.owner
+        moved = [receiver] + [owner[g] for g in path[:-1]]
+        for g, idx in zip(path, moved):
+            owner[g] = idx
+        self.clean = clean
 
     def edges(self) -> list[tuple[int, int]]:
         """Materialize every edge; intended for dumps and small instances."""
@@ -142,40 +150,39 @@ def augment(
     clean: CleanBundles,
     path: Sequence[int],
     receiver: int,
+    owner: Mapping[int, int] | None = None,
 ) -> CleanBundles:
     """Shift goods along ``path`` and give its first good to ``receiver``.
 
     Every owner of a path good swaps it for the next good on the path; the
     final good leaves its bundle entirely and the first good goes to the
-    receiver. On a shortest path this preserves cleanness, grows the
-    receiver's bundle by one and shrinks the last owner's by one; those
-    postconditions are verified and any breach raises
-    ``InternalInvariantError`` since it means the path was invalid.
+    receiver. ``owner`` maps goods to bundle indices, as ``ExchangeGraph``
+    keeps it; without it the map is built from ``clean``.
+
+    Only the bundles the path touches are copied and verified: the receiver
+    and the owners of path goods. On a shortest path each keeps its size,
+    except that the receiver grows by one and the last good's owner shrinks
+    by one, and each stays clean. Any breach raises
+    ``InternalInvariantError``, since it means the path was invalid. Every
+    other bundle is returned as the same object it was in ``clean``.
     """
     if not path:
         raise PreconditionError("empty transfer path")
-    last = path[-1]
-    shifted: list[set[int]] = [set(b) for b in clean]
-    for idx, bundle in enumerate(shifted):
-        if last in bundle:
-            bundle.discard(last)
-        for g, succ in zip(path, path[1:]):
-            if g in clean[idx]:
-                bundle.discard(g)
-                bundle.add(succ)
-    shifted[receiver].add(path[0])
-    result = tuple(frozenset(b) for b in shifted)
+    if owner is None:
+        owner = {g: idx for idx, bundle in enumerate(clean) for g in bundle}
+    losers = [owner[g] for g in path]
+    gainers = [receiver] + losers[:-1]
+    shifted = {idx: set(clean[idx]) for idx in (*losers, receiver)}
+    for g, idx in zip(path, losers):
+        shifted[idx].discard(g)
+    for g, idx in zip(path, gainers):
+        shifted[idx].add(g)
+    result = list(clean)
+    for idx, bundle in shifted.items():
+        result[idx] = frozenset(bundle)
 
-    loser = None
-    for idx, bundle in enumerate(clean):
-        if last in bundle:
-            loser = idx
-    for i in instance.agents:
-        expected = len(clean[i])
-        if i == receiver:
-            expected += 1
-        if i == loser:
-            expected -= 1
+    for i in sorted(shifted.keys() - {0}):
+        expected = len(clean[i]) + (i == receiver) - (i == losers[-1])
         if len(result[i]) != expected:
             raise InternalInvariantError(
                 f"transfer path changed bundle {i} from {len(clean[i])} "
@@ -183,4 +190,4 @@ def augment(
             )
         if not instance.valuation(i).is_clean(result[i]):
             raise InternalInvariantError(f"transfer path left bundle {i} unclean")
-    return result
+    return tuple(result)

@@ -1,24 +1,33 @@
 """Sequential transfer-path solver with pluggable selection criteria.
 
-The solver starts from an empty allocation and repeatedly picks the agent
-whose gain function scores highest. An agent still in play receives one
-more high-value good by shifting goods along a shortest exchange-graph path
-ending in the unallocated pool; once no such path exists the agent
-permanently drops out of play and can only collect low-value goods, handed
-out provisionally so later transfer paths may still steal them. Ties always
-favor in-play agents and then lower indices, which is what makes the output
-canonical among all optimal allocations.
+The solver starts from an empty allocation and repeatedly picks an agent to
+serve. An agent still in play receives one more high-value good by shifting
+goods along a shortest exchange-graph path ending in the unallocated pool;
+once no such path exists the agent permanently drops out of play and can
+only collect low-value goods, handed out provisionally so later transfer
+paths may still steal them.
+
+Every criterion's gain strictly falls as the agent's utility rises, so each
+pool (agents in play, agents out of play) offers its poorest agent, lowest
+index first, and only those two agents' gains are evaluated: the gain
+decides between the two pools, with ties going to the in-play agent. This
+tie-breaking is what makes the output canonical among all optimal
+allocations. The pools are ``(utility, index)`` heaps, and one solver state
+(utilities, pools, the exchange graph's clean bundles and owner map, the
+holders of provisional goods) is updated in place, not rebuilt every
+iteration.
 
 Gain magnitudes are compared exactly: rationals via integer
 cross-multiplication for Nash welfare, plain integers for leximin, and
-high-precision floats with a relative tolerance for p-mean welfare. The
-"escape from zero utility" bonus is a separate tier above every ordinary
-magnitude rather than a large constant, so it can never collide with a
-real gain value.
+high-precision floats with a purely relative tolerance for p-mean welfare.
+The "escape from zero utility" bonus is a separate tier above every
+ordinary magnitude rather than a large constant, so it can never collide
+with a real gain value.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +37,7 @@ import mpmath
 
 from .allocation import Allocation, Decomposition, utility_vector
 from .errors import InternalInvariantError, UnsupportedCriterionError
-from .exchange import CleanBundles, ExchangeGraph, f_set, shortest_path
+from .exchange import ExchangeGraph, f_set, shortest_path
 from .exchange import augment as augment_path
 from .valuation import Instance
 
@@ -65,7 +74,7 @@ class GainValue:
         a, b = self.magnitude, other.magnitude
         if isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf):
             a, b = mpmath.mpf(a), mpmath.mpf(b)
-            if abs(a - b) <= PMEAN_REL_TOL * max(1, abs(a), abs(b)):
+            if abs(a - b) <= PMEAN_REL_TOL * max(abs(a), abs(b)):
                 return 0
         if a == b:
             return 0
@@ -104,7 +113,12 @@ class Criterion:
         return self
 
     def gain(self, utilities: Sequence[int], i: int, d: int) -> GainValue:
-        """Score of adding value ``d`` to agent ``i`` (1-based) right now."""
+        """Score of adding value ``d`` to agent ``i`` (1-based) right now.
+
+        It must depend only on ``utilities[i - 1]`` and ``d`` and strictly
+        fall as that utility rises: the solver relies on this to evaluate
+        only the poorest agent of each pool.
+        """
         raise NotImplementedError
 
     def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
@@ -210,7 +224,7 @@ class PMeanWelfare(Criterion):
             p = mpmath.mpf(self.p)
             sum_u = mpmath.fsum(mpmath.power(x, p) for x in u if x > 0)
             sum_w = mpmath.fsum(mpmath.power(x, p) for x in w if x > 0)
-            if abs(sum_u - sum_w) <= PMEAN_REL_TOL * max(1, abs(sum_u), abs(sum_w)):
+            if abs(sum_u - sum_w) <= PMEAN_REL_TOL * max(abs(sum_u), abs(sum_w)):
                 return 0
             # For p < 0 the outer 1/p exponent reverses the power-sum order.
             better = sum_u > sum_w if self.p > 0 else sum_u < sum_w
@@ -283,60 +297,114 @@ class SolveResult:
 def _argmax_min_index(
     criterion: Criterion,
     utilities: Sequence[int],
-    agents: Iterable[int],
+    pool: Sequence[tuple[int, int]],
     d: int,
 ) -> tuple[int | None, GainValue]:
-    """Best agent by gain, lowest index among ties; (None, bottom) if empty."""
-    best_agent: int | None = None
-    best = BOTTOM_GAIN
-    for k in agents:
-        g = criterion.gain(utilities, k, d)
-        if best_agent is None or g > best:
-            best_agent, best = k, g
-    return best_agent, best
+    """Best agent of a pool by gain, lowest index among ties.
+
+    Gains strictly fall as utility rises, so the best agent is the top of
+    the pool's ``(utility, index)`` heap and only its gain is evaluated.
+    Returns ``(None, bottom)`` for an empty pool.
+    """
+    if not pool:
+        return None, BOTTOM_GAIN
+    i = pool[0][1]
+    return i, criterion.gain(utilities, i, d)
+
+
+def _empty_clean(instance: Instance) -> tuple[frozenset[int], ...]:
+    return (frozenset(range(instance.m)),) + (frozenset(),) * instance.n
+
+
+def _transfer(graph: ExchangeGraph, path: tuple[int, ...], receiver: int) -> None:
+    """Augment the graph's allocation along ``path`` in favor of ``receiver``."""
+    clean = augment_path(graph.instance, graph.clean, path, receiver, graph.owner)
+    graph.update(clean, path, receiver)
 
 
 class _State:
-    """Mutable solver state with O(1) utility reads."""
+    """The one mutable solver state, updated in place every iteration.
+
+    ``graph`` holds the clean bundles and their owner map. Provisional goods
+    stay in the pool bundle ``graph.clean[0]``; ``holder`` maps each to the
+    agent holding it. The free goods (in the pool, not provisional) only
+    ever shrink, so the lowest one is found by a pointer that never moves
+    back.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.clean: list[set[int]] = [set(range(instance.m))]
-        self.clean += [set() for _ in instance.agents]
+        self.graph = ExchangeGraph(instance, _empty_clean(instance))
         self.supp: list[set[int]] = [set() for _ in range(instance.n + 1)]
-        self.supp_union: set[int] = set()
-        self.in_play: set[int] = set(instance.agents)
-
-    def utilities(self) -> list[int]:
-        c = self.instance.c
-        return [
-            c * len(self.clean[i]) + len(self.supp[i])
-            for i in self.instance.agents
-        ]
+        self.holder: dict[int, int] = {}
+        self.utilities = [0] * instance.n
+        self.in_play = [(0, i) for i in instance.agents]
+        self.benched: list[tuple[int, int]] = []
+        self._lowest_free = 0
 
     def unallocated_count(self) -> int:
-        return len(self.clean[0]) - len(self.supp_union)
+        return len(self.graph.clean[0]) - len(self.holder)
 
     def lowest_free_good(self) -> int:
-        return min(self.clean[0] - self.supp_union)
+        pool, g = self.graph.clean[0], self._lowest_free
+        while g not in pool or g in self.holder:
+            g += 1
+        self._lowest_free = g
+        return g
 
-    def frozen_clean(self) -> CleanBundles:
-        return tuple(frozenset(b) for b in self.clean)
+    def augment(self, path: tuple[int, ...], i: int) -> int | None:
+        """Serve ``i``, the top in-play agent, along ``path``; return any replacement.
+
+        When the path ends at a provisional good, its holder is given the
+        lowest free good in its place, and that good is returned.
+        """
+        _transfer(self.graph, path, i)
+        u = self.utilities[i - 1] = self.utilities[i - 1] + self.instance.c
+        heapq.heapreplace(self.in_play, (u, i))
+        holder = self.holder.pop(path[-1], None)
+        if holder is None:
+            return None
+        replacement = self.lowest_free_good()
+        self.supp[holder].discard(path[-1])
+        self.supp[holder].add(replacement)
+        self.holder[replacement] = holder
+        return replacement
+
+    def bench(self) -> None:
+        """Take the top in-play agent out of play for good."""
+        heapq.heappush(self.benched, heapq.heappop(self.in_play))
+
+    def give_provisional(self, i: int) -> int:
+        """Hand ``i``, the top benched agent, the lowest free good; return it."""
+        good = self.lowest_free_good()
+        self.supp[i].add(good)
+        self.holder[good] = i
+        u = self.utilities[i - 1] = self.utilities[i - 1] + 1
+        heapq.heapreplace(self.benched, (u, i))
+        return good
 
     def check_invariants(self) -> None:
-        instance = self.instance
+        instance, clean = self.instance, self.graph.clean
         for i in instance.agents:
-            if not instance.valuation(i).is_clean(frozenset(self.clean[i])):
+            if not instance.valuation(i).is_clean(clean[i]):
                 raise InternalInvariantError(f"clean bundle {i} lost cleanness")
-            bundle = self.clean[i] | self.supp[i]
-            expected = instance.c * len(self.clean[i]) + len(self.supp[i])
-            if instance.value(i, bundle) != expected:
+            bundle = clean[i] | self.supp[i]
+            expected = instance.c * len(clean[i]) + len(self.supp[i])
+            if not instance.value(i, bundle) == expected == self.utilities[i - 1]:
                 raise InternalInvariantError(
-                    f"agent {i}: bundle value {instance.value(i, bundle)} != "
-                    f"cached {expected}; a provisional good turned high-value"
+                    f"agent {i}: bundle value {instance.value(i, bundle)}, "
+                    f"decomposition {expected} and cached "
+                    f"{self.utilities[i - 1]} differ; a provisional good "
+                    f"turned high-value"
                 )
-        if not self.supp_union <= self.clean[0]:
+        if not self.holder.keys() <= clean[0]:
             raise InternalInvariantError("provisional goods escaped the pool")
+        if any(self.graph.owner[g] != idx
+               for idx, bundle in enumerate(clean) for g in bundle):
+            raise InternalInvariantError("owner map disagrees with the bundles")
+        pooled = sorted(self.in_play + self.benched, key=lambda entry: entry[1])
+        if pooled != [(u, i) for i, u in enumerate(self.utilities, start=1)]:
+            raise InternalInvariantError("agent pools disagree with utilities")
 
 
 def solve(
@@ -348,13 +416,15 @@ def solve(
 
     Returns the allocation together with the clean/supplementary split the
     solver maintained and a per-iteration trace. With ``check_invariants``
-    the loop re-verifies its invariants every iteration (cleanness, cached
-    utilities, pool containment, and the pick-the-poorest property of the
-    selected agent); this is meant for tests and costs roughly a full rank
-    recomputation per bundle per iteration.
+    the loop re-verifies its invariants every iteration (cleanness of every
+    bundle, cached utilities and pools, the owner map, pool containment,
+    and the pick-the-poorest property of the selected agent); this is meant
+    for tests and costs roughly a full rank recomputation per bundle per
+    iteration.
     """
     criterion = criterion.bind(instance)
     state = _State(instance)
+    graph = state.graph
     trace = SolveTrace()
     c = instance.c
     max_iterations = instance.m + instance.n
@@ -366,73 +436,45 @@ def solve(
             raise InternalInvariantError(
                 f"exceeded the {max_iterations}-iteration bound"
             )
-        utilities = state.utilities()
-        in_play = sorted(state.in_play)
-        benched = [k for k in instance.agents if k not in state.in_play]
-        agent_c, gain_c = _argmax_min_index(criterion, utilities, in_play, c)
-        agent_1, gain_1 = _argmax_min_index(criterion, utilities, benched, 1)
+        utilities = state.utilities
+        agent_c, gain_c = _argmax_min_index(criterion, utilities, state.in_play, c)
+        agent_1, gain_1 = _argmax_min_index(criterion, utilities, state.benched, 1)
+        gains = (gain_c.describe(), gain_1.describe())
 
         if gain_c >= gain_1 and agent_c is not None:
             i = agent_c
             if check_invariants:
-                _check_selection(utilities, in_play, i)
-            clean = state.frozen_clean()
-            graph = ExchangeGraph(instance, clean)
+                _check_selection(utilities, (k for _, k in state.in_play), i)
+            clean = graph.clean
             path = shortest_path(graph, f_set(instance, clean, i), clean[0])
             if path is None:
-                state.in_play.discard(i)
-                trace.records.append(
-                    TraceRecord(
-                        iteration, gain_c.describe(), gain_1.describe(),
-                        i, "removed-from-play",
-                    )
-                )
+                state.bench()
+                record = TraceRecord(iteration, *gains, i, "removed-from-play")
             else:
-                new_clean = augment_path(instance, clean, path, i)
-                state.clean = [set(b) for b in new_clean]
-                stolen = path[-1]
-                replacement = None
-                if stolen in state.supp_union:
-                    holder = next(
-                        j for j in instance.agents if stolen in state.supp[j]
-                    )
-                    replacement = state.lowest_free_good()
-                    state.supp[holder].discard(stolen)
-                    state.supp[holder].add(replacement)
-                    state.supp_union.discard(stolen)
-                    state.supp_union.add(replacement)
-                trace.records.append(
-                    TraceRecord(
-                        iteration, gain_c.describe(), gain_1.describe(),
-                        i, "augmented", path=path, replacement=replacement,
-                    )
+                replacement = state.augment(path, i)
+                record = TraceRecord(
+                    iteration, *gains, i, "augmented",
+                    path=path, replacement=replacement,
                 )
         else:
             i = agent_1
             if i is None:
                 raise InternalInvariantError("no agent eligible for selection")
             if check_invariants:
-                _check_selection(utilities, benched, i)
-            good = state.lowest_free_good()
-            state.supp[i].add(good)
-            state.supp_union.add(good)
-            trace.records.append(
-                TraceRecord(
-                    iteration, gain_c.describe(), gain_1.describe(),
-                    i, "provisional", good=good,
-                )
-            )
+                _check_selection(utilities, (k for _, k in state.benched), i)
+            good = state.give_provisional(i)
+            record = TraceRecord(iteration, *gains, i, "provisional", good=good)
+        trace.records.append(record)
         if check_invariants:
             state.check_invariants()
 
-    clean = state.frozen_clean()
     supplementary = tuple(frozenset(b) for b in state.supp)
-    decomposition = Decomposition(clean, supplementary)
+    decomposition = Decomposition(graph.clean, supplementary)
     allocation = decomposition.union()
     if sum(len(allocation.bundle(i)) for i in instance.agents) != instance.m:
         raise InternalInvariantError("solver left goods unallocated")
     final = utility_vector(instance, allocation)
-    cached = tuple(state.utilities())
+    cached = tuple(state.utilities)
     if final != cached:
         raise InternalInvariantError(
             f"final utilities {final} disagree with cached {cached}"
@@ -459,21 +501,19 @@ def utilitarian_optimal(instance: Instance) -> Allocation:
     transfer path from any agent reaches the pool, then hand the leftover
     (uniformly low-value) goods to agent 1.
     """
-    state = _State(instance)
+    graph = ExchangeGraph(instance, _empty_clean(instance))
     progress = True
-    while progress and state.clean[0]:
+    while progress and graph.clean[0]:
         progress = False
         for i in instance.agents:
-            if not state.clean[0]:
+            clean = graph.clean
+            if not clean[0]:
                 break
-            clean = state.frozen_clean()
-            graph = ExchangeGraph(instance, clean)
             path = shortest_path(graph, f_set(instance, clean, i), clean[0])
             if path is not None:
-                state.clean = [
-                    set(b) for b in augment_path(instance, clean, path, i)
-                ]
+                _transfer(graph, path, i)
                 progress = True
-    bundles = [frozenset()] + [frozenset(state.clean[i]) for i in instance.agents]
-    bundles[1] = bundles[1] | frozenset(state.clean[0])
+    bundles = list(graph.clean)
+    bundles[1] = bundles[1] | bundles[0]
+    bundles[0] = frozenset()
     return Allocation(tuple(bundles))

@@ -45,6 +45,15 @@ class Matroid:
             return False
         return self.rank(goods | {g}) > self.rank(goods)
 
+    def extensions(self, goods: GoodSet) -> list[int]:
+        """Every good that ``can_extend`` ``goods``, in ascending order.
+
+        Exchange-graph edges and transfer-path sources are read from this.
+        Subclasses with a closed form override it; the default asks
+        ``can_extend`` about each good.
+        """
+        return [h for h in range(self.m) if self.can_extend(goods, h)]
+
     def _check_ground(self, m: int) -> None:
         if self.m != m:
             raise ValidationError(
@@ -68,6 +77,11 @@ class UniformMatroid(Matroid):
 
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         return g not in goods and len(goods) < self.cap
+
+    def extensions(self, goods: GoodSet) -> list[int]:
+        if len(goods) >= self.cap:
+            return []
+        return [h for h in range(self.m) if h not in goods]
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,15 @@ class PartitionMatroid(Matroid):
             return False
         return len(goods & self.parts[idx]) < self.caps[idx]
 
+    def extensions(self, goods: GoodSet) -> list[int]:
+        """The goods outside ``goods`` of every part that still has room."""
+        return sorted(
+            g
+            for part, cap in zip(self.parts, self.caps)
+            if len(goods & part) < cap
+            for g in part - goods
+        )
+
 
 @dataclass(frozen=True)
 class MarkedMatroid(Matroid):
@@ -124,6 +147,9 @@ class MarkedMatroid(Matroid):
 
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         return g not in goods and g in self.marked
+
+    def extensions(self, goods: GoodSet) -> list[int]:
+        return sorted(self.marked - goods)
 
 
 @dataclass(frozen=True)

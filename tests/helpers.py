@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from bifair.valuation import (
     BivaluedValuation,
@@ -147,3 +148,47 @@ def random_allocation(
     for g in range(instance.m):
         bundles[rng.randint(0, instance.n)].add(g)
     return tuple(frozenset(b) for b in bundles)
+
+
+def ladder_instance(n: int = 30, block: int = 10, m: int = 60, c: int = 3) -> Instance:
+    """Marked instance whose transfer paths run the length of a block.
+
+    Agents come in blocks of ``block``, each over a chain of ``block`` goods.
+    Agent j of a block marks chain goods j and j+1; the block's last agent
+    marks only the chain's first good, so it is served by shifting every
+    good of the chain one place. Goods past the chains are marked by nobody.
+    """
+    goods = tuple(f"g{g}" for g in range(m))
+    valuations = []
+    for k in range(n):
+        start, j = k - k % block, k % block
+        marked = {start} if j == block - 1 else {start + j, start + j + 1}
+        valuations.append(BivaluedValuation(c, MarkedMatroid(m, frozenset(marked))))
+    return Instance(goods, c, tuple(valuations))
+
+
+def exact_pmean_optima(instance: Instance, p: int) -> set[tuple[int, ...]]:
+    """Sorted utility vectors of every p-mean optimum, for integer ``p < 0``.
+
+    Most positive agents first, then the smallest power sum of the positive
+    utilities, computed in exact ``Fraction`` arithmetic over every
+    assignment of goods, with values from ``brute_value``.
+    """
+    n, m = instance.n, instance.m
+    subsets = [frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m)]
+    tables = [
+        [brute_value(instance.valuation(i), s) for s in subsets] for i in instance.agents
+    ]
+    best_key, best = None, set()
+    for owners in itertools.product(range(n + 1), repeat=m):
+        masks = [0] * (n + 1)
+        for g, owner in enumerate(owners):
+            masks[owner] |= 1 << g
+        u = tuple(tables[i][masks[i + 1]] for i in range(n))
+        positive = [x for x in u if x > 0]
+        key = (len(positive), -sum(Fraction(1, x ** -p) for x in positive))
+        if best_key is None or key > best_key:
+            best_key, best = key, set()
+        if key == best_key:
+            best.add(tuple(sorted(u)))
+    return best

@@ -14,7 +14,7 @@ from bifair.valuation import (
     PartitionMatroid,
     UniformMatroid,
 )
-from helpers import all_shortest_paths, random_clean_allocation
+from helpers import all_shortest_paths, brute_rank, random_clean_allocation
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
@@ -88,6 +88,38 @@ class TestBuild:
         dot = graph.to_dot()
         assert dot.startswith("digraph")
         assert "g0 -> g1" in dot
+
+
+class TestClosedFormCandidates:
+    """Edges and sources from ``extensions`` match the rank definitions."""
+
+    @pytest.mark.parametrize("family", ["partition", "uniform"])
+    def test_against_subset_enumeration(self, family):
+        rng = random.Random(f"closed-form:{family}")
+        edges = sources = 0
+        for _ in range(60):
+            instance = random_instance(family, rng.randint(1, 3), 6, 2, rng)
+            clean = random_clean_allocation(instance, rng)
+            graph = build(instance, clean)
+            for i in instance.agents:
+                matroid = instance.valuation(i).matroid
+                bundle = clean[i]
+                expected = frozenset(
+                    h for h in range(6)
+                    if brute_rank(matroid, bundle | {h}) > brute_rank(matroid, bundle)
+                )
+                assert f_set(instance, clean, i) == expected
+                sources += len(expected)
+                for g in sorted(bundle):
+                    remainder = bundle - {g}
+                    expected_edges = [
+                        h for h in range(6)
+                        if h not in bundle
+                        and brute_rank(matroid, remainder | {h}) == len(bundle)
+                    ]
+                    assert graph.out_neighbors(g) == expected_edges
+                    edges += len(expected_edges)
+        assert edges > 50 and sources > 50
 
 
 class TestShortestPath:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from bifair.errors import UnsupportedCriterionError, ValidationError
-from bifair.io import random_instance
+from bifair.io import dumps_canonical, emit_allocation, random_instance
 from bifair.solver import (
     BOTTOM_GAIN,
     GainValue,
@@ -18,7 +19,7 @@ from bifair.solver import (
     utilitarian_optimal,
 )
 from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid, UniformMatroid
-from helpers import brute_value
+from helpers import brute_value, exact_pmean_optima, ladder_instance
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
@@ -215,6 +216,52 @@ class TestSolveGeneral:
         for line in lines:
             record = json.loads(line)
             assert {"iteration", "gain_c", "gain_1", "agent", "action"} <= set(record)
+
+
+class TestStronglyNegativePMean:
+    """At p = -20 and -50 the gains and power sums are tiny numbers, so a
+    tolerance with an absolute floor ties them all; only a purely relative
+    one keeps the solver optimal. The oracle sums exact fractions."""
+
+    @pytest.mark.parametrize("p", [-20, -50])
+    def test_matches_exact_fraction_optima(self, p):
+        rng = random.Random(f"pmean-exact:{p}")
+        for trial in range(120):
+            family = FAMILIES[trial % len(FAMILIES)]
+            instance = random_instance(
+                family, rng.randint(2, 3), rng.randint(2, 6), rng.choice([2, 3]), rng
+            )
+            result = solve(instance, PMeanWelfare(p), check_invariants=True)
+            assert result.sorted_utilities in exact_pmean_optima(instance, p), (
+                family, trial,
+            )
+
+
+# SHA-256 of the canonical allocation, a NUL byte and the JSONL trace of the
+# default ladder instance. The solver's output is canonical, so a speed-up
+# must reproduce these bytes exactly.
+LADDER_DIGESTS = {
+    "leximin": "51b4524507ea073962418254ad62fd30005df4c46097b2bf47eaf611fb28561c",
+    "mnw": "37dddec4fd0ea80c504fe8565fd9d355480bae2d1a77a425144a24b197104cfe",
+}
+
+
+class TestLadder:
+    """Transfer paths as long as a block: the BFS-heavy regime."""
+
+    @pytest.mark.parametrize("criterion", [Leximin(3), MaxNashWelfare()],
+                             ids=lambda criterion: criterion.name)
+    def test_long_paths_and_pinned_output(self, criterion):
+        instance = ladder_instance(n=30, block=10, m=60, c=3)
+        result = solve(instance, criterion, check_invariants=True)
+        longest = max(len(record.path or ()) for record in result.trace.records)
+        assert longest >= 10
+        allocation = dumps_canonical(emit_allocation(
+            instance, result.allocation, result.decomposition, criterion.name
+        ))
+        text = allocation + "\0" + result.trace.to_jsonl()
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == LADDER_DIGESTS[criterion.name]
 
 
 class TestUtilitarian:

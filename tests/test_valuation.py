@@ -162,6 +162,46 @@ class TestMatroidAxioms:
                 assert matroid.can_extend(subset, g) == expected
 
 
+def _explicit_twin(matroid, m: int) -> ExplicitMatroid:
+    """The same matroid as a complete rank table."""
+    subsets = (frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m))
+    return ExplicitMatroid(m, {s: matroid.rank(s) for s in subsets})
+
+
+class TestExtensions:
+    """``extensions`` is the ascending list of goods ``can_extend`` accepts."""
+
+    def test_matches_can_extend_in_every_family(self):
+        rng = random.Random(53)
+        checked = {family: 0 for family in FAMILIES + ("explicit",)}
+        for k in range(200):
+            family = FAMILIES[k % len(FAMILIES)]
+            m = rng.randint(1, 8)
+            matroid = random_instance(family, 1, m, 2, rng).valuation(1).matroid
+            matroids = [(family, matroid)]
+            if m <= 6:
+                matroids.append(("explicit", _explicit_twin(matroid, m)))
+            bundle = frozenset(g for g in range(m) if rng.random() < 0.5)
+            for name, candidate in matroids:
+                for goods in [bundle] + [bundle - {g} for g in sorted(bundle)]:
+                    expected = [h for h in range(m) if candidate.can_extend(goods, h)]
+                    assert candidate.extensions(goods) == expected, (name, goods)
+                    checked[name] += 1
+        assert min(checked.values()) > 100
+
+    def test_closed_forms(self):
+        assert UniformMatroid(5, 2).extensions(frozenset({3})) == [0, 1, 2, 4]
+        assert UniformMatroid(5, 2).extensions(frozenset({1, 3})) == []
+        assert MarkedMatroid(5, frozenset({4, 0, 2})).extensions(frozenset({2})) == [0, 4]
+        partition = PartitionMatroid(
+            6, (frozenset({4, 1}), frozenset({0, 5}), frozenset({3})), (1, 2, 0)
+        )
+        # Part one is full, part two has room, part three has none; good 2
+        # lies in no part.
+        assert partition.extensions(frozenset({1, 5})) == [0]
+        assert partition.extensions(frozenset()) == [0, 1, 4, 5]
+
+
 class TestCleanSubsetAndExchange:
     def test_clean_subsets_stay_clean(self):
         # Any subset of a bundle worth c per good is worth c per good.
