@@ -30,11 +30,11 @@ from .io import load_instance, parse_instance, random_instance
 from .oracle import brute_force_optimum, certify_dominating, enumerate_allocations
 from .solver import (
     Criterion,
-    GainValue,
     Leximin,
     MaxNashWelfare,
     PMeanWelfare,
     SolveResult,
+    compare_gains,
     make_criterion,
     solve,
     utilitarian_optimal,
@@ -60,7 +60,6 @@ __all__ = [
     "Criterion",
     "Decomposition",
     "ExplicitMatroid",
-    "GainValue",
     "Instance",
     "InternalInvariantError",
     "Leximin",
@@ -83,6 +82,7 @@ __all__ = [
     "check_ef1",
     "check_efx",
     "compare_domination",
+    "compare_gains",
     "compare_lex",
     "decompose",
     "enumerate_allocations",

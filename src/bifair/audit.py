@@ -7,11 +7,13 @@ partition enumeration (desk scale only, never silently approximated).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .allocation import Allocation, utility_vector
 from .errors import SizeLimitError, ValidationError
+from .solver import log_power_sum
 from .valuation import Instance, bundle_value_table
 
 MMS_MAX_AGENTS = 4
@@ -75,13 +77,14 @@ def usw(instance: Instance, allocation: Allocation) -> int:
 
 def pmean_welfare(instance: Instance, allocation: Allocation, p: float) -> float:
     """Power-mean welfare over the positive-utility agents, averaged over n."""
-    if p == 0 or p > 1:
-        raise ValidationError(f"p-mean welfare is defined for p <= 1, p != 0; got {p}")
+    if not math.isfinite(p) or p == 0 or p > 1:
+        raise ValidationError(
+            f"p-mean welfare is defined for finite p <= 1, p != 0; got {p}"
+        )
     utilities = [u for u in utility_vector(instance, allocation) if u > 0]
     if not utilities:
         return 0.0
-    total = sum(u**p for u in utilities)
-    return (total / instance.n) ** (1 / p)
+    return math.exp((log_power_sum(utilities, p) - math.log(instance.n)) / p)
 
 
 def mms(instance: Instance, i: int) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import io as bio
 from .audit import audit_allocation
-from .errors import InternalInvariantError, ValidationError
+from .errors import InternalInvariantError, UnsupportedCriterionError, ValidationError
 from .exchange import build as build_exchange_graph
 from .oracle import brute_force_optima
 from .solver import Criterion, make_criterion, solve
@@ -33,7 +33,11 @@ def _write(text: str, path: str | None) -> None:
 
 def _criterion_token(token: str) -> Criterion:
     if token.startswith("pmean:"):
-        return make_criterion("pmean", p=float(token.split(":", 1)[1]))
+        try:
+            p = float(token.split(":", 1)[1])
+        except ValueError:
+            raise UnsupportedCriterionError(f"bad p in criterion {token!r}") from None
+        return make_criterion("pmean", p=p)
     return make_criterion(token)
 
 
@@ -109,6 +113,8 @@ def _oracle_check_one(
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    for token in args.criteria:
+        _criterion_token(token)
     jobs = []
     for family in args.families:
         if family not in bio.GENERATOR_FAMILIES:

@@ -17,23 +17,24 @@ allocations. The pools are ``(utility, index)`` heaps, and one solver state
 holders of provisional goods) is updated in place, not rebuilt every
 iteration.
 
-Gain magnitudes are compared exactly: rationals via integer
-cross-multiplication for Nash welfare, plain integers for leximin, and
-high-precision floats with a purely relative tolerance for p-mean welfare.
-The "escape from zero utility" bonus is a separate tier above every
-ordinary magnitude rather than a large constant, so it can never collide
-with a real gain value.
+A gain is a plain pair ``(escape, magnitude)`` ordered lexicographically
+by ``compare_gains``. The escape is the value added to an agent at zero
+utility under Nash and p-mean welfare (0 otherwise), so lifting an agent off
+zero beats every ordinary gain and larger additions still win among escapes.
+Magnitudes are exact rationals for Nash welfare, exact integers for leximin
+and natural logs of power differences for p-mean welfare; ``compare_gains``
+holds the only tolerance, an absolute 1e-12 on those logs, which is a
+relative 1e-12 on the values themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .allocation import Allocation, Decomposition, utility_vector
 from .errors import InternalInvariantError, UnsupportedCriterionError
@@ -41,66 +42,46 @@ from .exchange import ExchangeGraph, f_set, shortest_path
 from .exchange import augment as augment_path
 from .valuation import Instance
 
-# Working precision for p-mean gains; ~40 significant digits comfortably
-# exceeds extended-double precision at desk-scale utilities.
-_PMEAN_DPS = 40
+Gain = tuple  # (escape, magnitude); see compare_gains
 
-PMEAN_REL_TOL = mpmath.mpf("1e-12")
+# Gain of an empty pool: below every real gain, whose escape is at least 0.
+BOTTOM_GAIN: Gain = (-math.inf, 0)
 
-_TIER_BOTTOM = 0
-_TIER_ORDINARY = 1
-_TIER_ZERO_ESCAPE = 2
+# Float magnitudes are logs, so this absolute tie tolerance on them is a
+# relative one on the values, whatever their scale.
+LOG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GainValue:
-    """Totally ordered gain: bottom < every ordinary value < zero-escape.
+def compare_gains(a: Gain, b: Gain) -> int:
+    """Order two gains lexicographically; -1, 0 or 1.
 
-    The zero-escape tier carries the added value d and realizes the
-    arbitrarily large bonus for lifting an agent off zero utility; within
-    the tier larger d wins. Ordinary magnitudes are ``Fraction``/``int``
-    (compared exactly) or ``mpmath.mpf`` (compared with a relative
-    tolerance, so near-ties resolve through the solver's index tie-break).
+    Float magnitudes within ``LOG_TOL`` tie, so near-ties resolve through
+    the solver's index tie-break; every other part compares exactly.
     """
-
-    tier: int
-    magnitude: object = None
-
-    def _cmp(self, other: "GainValue") -> int:
-        if self.tier != other.tier:
-            return 1 if self.tier > other.tier else -1
-        if self.tier == _TIER_BOTTOM:
-            return 0
-        a, b = self.magnitude, other.magnitude
-        if isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf):
-            a, b = mpmath.mpf(a), mpmath.mpf(b)
-            if abs(a - b) <= PMEAN_REL_TOL * max(abs(a), abs(b)):
-                return 0
-        if a == b:
-            return 0
-        return 1 if a > b else -1
-
-    def __lt__(self, other: "GainValue") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "GainValue") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "GainValue") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "GainValue") -> bool:
-        return self._cmp(other) >= 0
-
-    def describe(self) -> str:
-        if self.tier == _TIER_BOTTOM:
-            return "-inf"
-        if self.tier == _TIER_ZERO_ESCAPE:
-            return f"zero-escape({self.magnitude})"
-        return str(self.magnitude)
+    if a[0] != b[0]:
+        return 1 if a[0] > b[0] else -1
+    x, y = a[1], b[1]
+    if x == y or (isinstance(x, float) and abs(x - y) <= LOG_TOL):
+        return 0
+    return 1 if x > y else -1
 
 
-BOTTOM_GAIN = GainValue(_TIER_BOTTOM)
+def _describe(gain: Gain) -> str:
+    escape, magnitude = gain
+    if escape < 0:
+        return "-inf"
+    return f"zero-escape({escape})" if escape else str(magnitude)
+
+
+def log_power_sum(values: Iterable[int], p: float) -> float:
+    """``log(sum x**p)`` over the positive values; at least one must be positive.
+
+    Shifts every ``p * log x`` by the largest before exponentiating, so no
+    term under- or overflows whatever the size of p.
+    """
+    logs = [p * math.log(x) for x in values if x > 0]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
 
 
 class Criterion:
@@ -112,12 +93,11 @@ class Criterion:
         """Criterion specialized to an instance; default needs no binding."""
         return self
 
-    def gain(self, utilities: Sequence[int], i: int, d: int) -> GainValue:
-        """Score of adding value ``d`` to agent ``i`` (1-based) right now.
+    def gain(self, u: int, d: int) -> Gain:
+        """Score of adding value ``d`` to an agent whose utility is ``u``.
 
-        It must depend only on ``utilities[i - 1]`` and ``d`` and strictly
-        fall as that utility rises: the solver relies on this to evaluate
-        only the poorest agent of each pool.
+        It must strictly fall as ``u`` rises: the solver relies on this to
+        evaluate only the poorest agent of each pool.
         """
         raise NotImplementedError
 
@@ -129,17 +109,14 @@ class Criterion:
 class MaxNashWelfare(Criterion):
     """Most agents positive first, then largest utility product.
 
-    The ordinary gain is the ratio ``(u_i + d) / u_i``, kept as an exact
+    The ordinary gain is the ratio ``(u + d) / u``, kept as an exact
     rational so comparisons reduce to integer cross-multiplication.
     """
 
     name = "mnw"
 
-    def gain(self, utilities: Sequence[int], i: int, d: int) -> GainValue:
-        u = utilities[i - 1]
-        if u == 0:
-            return GainValue(_TIER_ZERO_ESCAPE, d)
-        return GainValue(_TIER_ORDINARY, Fraction(u + d, u))
+    def gain(self, u: int, d: int) -> Gain:
+        return (d, 0) if u == 0 else (0, Fraction(u + d, u))
 
     def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
         count_u = sum(1 for x in u if x > 0)
@@ -161,7 +138,7 @@ class MaxNashWelfare(Criterion):
 class Leximin(Criterion):
     """Lexicographic order on ascending-sorted utility vectors.
 
-    The gain is the exact integer ``-(c + 1) * u_i + d``; the slope beats
+    The gain is the exact integer ``-(c + 1) * u + d``; the slope beats
     any d difference, so poorer agents always outrank richer ones.
     """
 
@@ -173,12 +150,12 @@ class Leximin(Criterion):
     def bind(self, instance: Instance) -> "Leximin":
         return self if self.c == instance.c else Leximin(instance.c)
 
-    def gain(self, utilities: Sequence[int], i: int, d: int) -> GainValue:
+    def gain(self, u: int, d: int) -> Gain:
         if self.c is None:
             raise UnsupportedCriterionError(
                 "leximin gain needs the instance's c; use Leximin(c) or bind()"
             )
-        return GainValue(_TIER_ORDINARY, -(self.c + 1) * utilities[i - 1] + d)
+        return (0, -(self.c + 1) * u + d)
 
     def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
         su, sw = sorted(u), sorted(w)
@@ -190,45 +167,40 @@ class Leximin(Criterion):
 class PMeanWelfare(Criterion):
     """Most agents positive first, then the power mean of the positives.
 
-    Defined for real ``p < 1`` with ``p != 0``; both excluded values have
-    better homes (``p -> 0`` is Nash welfare; ``p = 1`` is plain utilitarian
-    welfare, whose constant gain cannot drive agent selection). Gains use
-    40-digit floats and values within a relative 1e-12 count as tied.
+    Defined for finite real ``p < 1`` with ``p != 0``; both excluded values
+    have better homes (``p -> 0`` is Nash welfare; ``p = 1`` is plain
+    utilitarian welfare, whose constant gain cannot drive agent selection).
+    The gain magnitude is ``log|(u + d)**p - u**p|`` and power sums are
+    compared by their logs, so strongly negative p neither underflows nor
+    loses the order.
     """
 
     def __init__(self, p: float):
-        if p == 0 or p >= 1:
+        if not math.isfinite(p) or p == 0 or p >= 1:
             raise UnsupportedCriterionError(
-                f"p-mean welfare requires p < 1 and p != 0, got {p}"
+                f"p-mean welfare requires a finite p < 1 and p != 0, got {p}"
             )
         self.p = p
         self.name = f"pmean[p={p}]"
 
-    def gain(self, utilities: Sequence[int], i: int, d: int) -> GainValue:
-        u = utilities[i - 1]
+    def gain(self, u: int, d: int) -> Gain:
         if u == 0:
-            return GainValue(_TIER_ZERO_ESCAPE, d)
-        with mpmath.workdps(_PMEAN_DPS):
-            p = mpmath.mpf(self.p)
-            diff = mpmath.power(u + d, p) - mpmath.power(u, p)
-            if self.p < 0:
-                diff = -diff
-        return GainValue(_TIER_ORDINARY, diff)
+            return (d, 0)
+        p = self.p
+        return (0, p * math.log(u) + math.log(abs(math.expm1(p * math.log1p(d / u)))))
 
     def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
         count_u = sum(1 for x in u if x > 0)
         count_w = sum(1 for x in w if x > 0)
         if count_u != count_w:
             return 1 if count_u > count_w else -1
-        with mpmath.workdps(_PMEAN_DPS):
-            p = mpmath.mpf(self.p)
-            sum_u = mpmath.fsum(mpmath.power(x, p) for x in u if x > 0)
-            sum_w = mpmath.fsum(mpmath.power(x, p) for x in w if x > 0)
-            if abs(sum_u - sum_w) <= PMEAN_REL_TOL * max(abs(sum_u), abs(sum_w)):
-                return 0
-            # For p < 0 the outer 1/p exponent reverses the power-sum order.
-            better = sum_u > sum_w if self.p > 0 else sum_u < sum_w
-        return 1 if better else -1
+        if count_u == 0:
+            return 0
+        order = compare_gains(
+            (0, log_power_sum(u, self.p)), (0, log_power_sum(w, self.p))
+        )
+        # For p < 0 the outer 1/p exponent reverses the power-sum order.
+        return order if self.p > 0 else -order
 
 
 def make_criterion(name: str, p: float | None = None) -> Criterion:
@@ -295,21 +267,18 @@ class SolveResult:
 
 
 def _argmax_min_index(
-    criterion: Criterion,
-    utilities: Sequence[int],
-    pool: Sequence[tuple[int, int]],
-    d: int,
-) -> tuple[int | None, GainValue]:
+    criterion: Criterion, pool: Sequence[tuple[int, int]], d: int
+) -> tuple[int | None, Gain]:
     """Best agent of a pool by gain, lowest index among ties.
 
     Gains strictly fall as utility rises, so the best agent is the top of
     the pool's ``(utility, index)`` heap and only its gain is evaluated.
-    Returns ``(None, bottom)`` for an empty pool.
+    Returns ``(None, BOTTOM_GAIN)`` for an empty pool.
     """
     if not pool:
         return None, BOTTOM_GAIN
-    i = pool[0][1]
-    return i, criterion.gain(utilities, i, d)
+    u, i = pool[0]
+    return i, criterion.gain(u, d)
 
 
 def _empty_clean(instance: Instance) -> tuple[frozenset[int], ...]:
@@ -437,11 +406,11 @@ def solve(
                 f"exceeded the {max_iterations}-iteration bound"
             )
         utilities = state.utilities
-        agent_c, gain_c = _argmax_min_index(criterion, utilities, state.in_play, c)
-        agent_1, gain_1 = _argmax_min_index(criterion, utilities, state.benched, 1)
-        gains = (gain_c.describe(), gain_1.describe())
+        agent_c, gain_c = _argmax_min_index(criterion, state.in_play, c)
+        agent_1, gain_1 = _argmax_min_index(criterion, state.benched, 1)
+        gains = (_describe(gain_c), _describe(gain_1))
 
-        if gain_c >= gain_1 and agent_c is not None:
+        if compare_gains(gain_c, gain_1) >= 0 and agent_c is not None:
             i = agent_c
             if check_invariants:
                 _check_selection(utilities, (k for _, k in state.in_play), i)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from bifair.valuation import (
@@ -167,28 +168,43 @@ def ladder_instance(n: int = 30, block: int = 10, m: int = 60, c: int = 3) -> In
     return Instance(goods, c, tuple(valuations))
 
 
-def exact_pmean_optima(instance: Instance, p: int) -> set[tuple[int, ...]]:
-    """Sorted utility vectors of every p-mean optimum, for integer ``p < 0``.
+def pmean_optima(instance: Instance, p: float) -> set[tuple[int, ...]]:
+    """Sorted utility vectors of every p-mean optimum, for ``p < 1``, ``p != 0``.
 
-    Most positive agents first, then the smallest power sum of the positive
-    utilities, computed in exact ``Fraction`` arithmetic over every
-    assignment of goods, with values from ``brute_value``.
+    Most positive agents first, then the best power sum of the positive
+    utilities (the smallest for ``p < 0``), over every assignment of goods
+    with values from ``brute_value``. Integer p sums exact ``Fraction``
+    powers; any other p sums 60-digit ``Decimal`` powers of the exact float
+    p, added in ascending order so equal multisets give equal sums.
     """
     n, m = instance.n, instance.m
     subsets = [frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m)]
     tables = [
         [brute_value(instance.valuation(i), s) for s in subsets] for i in instance.agents
     ]
-    best_key, best = None, set()
+    vectors = set()
     for owners in itertools.product(range(n + 1), repeat=m):
         masks = [0] * (n + 1)
         for g, owner in enumerate(owners):
             masks[owner] |= 1 << g
-        u = tuple(tables[i][masks[i + 1]] for i in range(n))
-        positive = [x for x in u if x > 0]
-        key = (len(positive), -sum(Fraction(1, x ** -p) for x in positive))
-        if best_key is None or key > best_key:
-            best_key, best = key, set()
-        if key == best_key:
-            best.add(tuple(sorted(u)))
-    return best
+        vectors.add(tuple(sorted(tables[i][masks[i + 1]] for i in range(n))))
+    powers: dict[int, Fraction | Decimal] = {}
+
+    def power(x: int) -> Fraction | Decimal:
+        if x not in powers:
+            if p == int(p):
+                powers[x] = Fraction(x) ** int(p)
+            else:
+                powers[x] = Decimal(x) ** Decimal(p)
+        return powers[x]
+
+    def key(vector: tuple[int, ...]) -> tuple:
+        positive = [x for x in vector if x > 0]
+        total = sum(power(x) for x in positive)
+        return len(positive), total if p > 0 else -total
+
+    with localcontext() as context:
+        context.prec = 60
+        keys = {vector: key(vector) for vector in vectors}
+    best = max(keys.values())
+    return {vector for vector, k in keys.items() if k == best}

@@ -283,3 +283,46 @@ class TestCli:
         capsys.readouterr()
         assert main(["audit", str(inst), str(alloc), "--mms"]) == 2
         assert "limited" in capsys.readouterr().err
+
+
+def _two_additive_agents(tmp_path, first: int, second: int):
+    """Instance and allocation files: two additive agents, c = 3, holding
+    ``first`` and ``second`` goods, so their utilities are 3x those counts."""
+    goods = [f"g{g}" for g in range(first + second)]
+    everything = {"type": "marked", "marked": goods}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "version": 1, "c": 3, "goods": goods,
+        "agents": [{"matroid": everything}, {"matroid": everything}],
+    }), encoding="utf-8")
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({
+        "version": 1, "unallocated": [],
+        "bundles": [goods[:first], goods[first:]],
+    }), encoding="utf-8")
+    return inst, alloc
+
+
+class TestCriterionParameters:
+    def test_solve_rejects_non_finite_p(self, tmp_path, capsys):
+        path = _worked_example_file(tmp_path)
+        for p in ("nan", "inf", "-inf"):
+            assert main(["solve", str(path), "--criterion", "pmean", f"--p={p}"]) == 2
+            assert "finite" in capsys.readouterr().err
+
+    def test_oracle_check_rejects_a_bad_p_token(self, capsys):
+        assert main(["oracle-check", "--count", "1", "--criteria", "pmean:x"]) == 2
+        assert "pmean:x" in capsys.readouterr().err
+
+    def test_audit_rejects_non_finite_p(self, tmp_path, capsys):
+        inst, alloc = _two_additive_agents(tmp_path, 2, 1)
+        assert main(["audit", str(inst), str(alloc), "--pmean", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_audit_pmean_at_strongly_negative_p(self, tmp_path, capsys):
+        # Utilities (24, 12): 12**-300 underflows a float power sum to 0.
+        inst, alloc = _two_additive_agents(tmp_path, 8, 4)
+        assert main(["audit", str(inst), str(alloc), "--pmean", "-300", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["utilities"] == [24, 12]
+        assert report["pmean"]["-300.0"] == pytest.approx(12 * 2 ** (1 / 300), rel=1e-12)

@@ -21,7 +21,6 @@ from bifair.oracle import (
     enumerate_decompositions,
 )
 from bifair.solver import (
-    GainValue,
     Leximin,
     MaxNashWelfare,
     PMeanWelfare,
@@ -190,8 +189,8 @@ class TestCorruptedGainIsCaught:
         # Mutation check: a criterion whose gain prefers richer agents must
         # disagree with the brute-force optimum somewhere.
         class BackwardsLeximin(Leximin):
-            def gain(self, utilities, i, d):
-                return GainValue(1, (self.c + 1) * utilities[i - 1] + d)
+            def gain(self, u, d):
+                return (0, (self.c + 1) * u + d)
 
         rng = random.Random(97)
         mismatched = 0

@@ -1,58 +1,73 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bifair
 from bifair.errors import UnsupportedCriterionError, ValidationError
 from bifair.io import dumps_canonical, emit_allocation, random_instance
 from bifair.solver import (
     BOTTOM_GAIN,
-    GainValue,
     Leximin,
     MaxNashWelfare,
     PMeanWelfare,
+    compare_gains,
     make_criterion,
     solve,
     utilitarian_optimal,
 )
 from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid, UniformMatroid
-from helpers import brute_value, exact_pmean_optima, ladder_instance
+from helpers import brute_value, ladder_instance, pmean_optima
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
 
 class TestGainValues:
     def test_mnw_ratio(self):
-        gain = MaxNashWelfare().gain((0, 5), 2, 5)
-        assert gain.magnitude == Fraction(2)
+        assert MaxNashWelfare().gain(5, 5) == (0, Fraction(2))
 
     def test_leximin_from_zero(self):
-        assert Leximin(5).gain((0, 5), 1, 5).magnitude == 5
+        assert Leximin(5).gain(0, 5) == (0, 5)
 
     def test_leximin_from_five(self):
-        assert Leximin(5).gain((0, 5), 2, 5).magnitude == -25
+        assert Leximin(5).gain(5, 5) == (0, -25)
 
     def test_zero_escape_ordering(self):
         mnw = MaxNashWelfare()
-        high = mnw.gain((0,), 1, 5)
-        low = mnw.gain((0,), 1, 1)
-        assert high > low
-        assert high > mnw.gain((7,), 1, 5)  # beats any ordinary ratio
-        assert BOTTOM_GAIN < low
+        high = mnw.gain(0, 5)
+        low = mnw.gain(0, 1)
+        assert compare_gains(high, low) > 0
+        assert compare_gains(high, mnw.gain(7, 5)) > 0  # beats any ordinary ratio
+        assert compare_gains(BOTTOM_GAIN, low) < 0
 
     def test_mnw_cross_multiplication_is_exact(self):
         mnw = MaxNashWelfare()
         # 7/6 vs 8/7: tiny gap that floats near 1 would be risky with
         # a large-constant scheme.
-        assert mnw.gain((6,), 1, 1) > mnw.gain((7,), 1, 1)
+        assert compare_gains(mnw.gain(6, 1), mnw.gain(7, 1)) > 0
 
     def test_pmean_rejects_degenerate_p(self):
         for p in (0, 1, 1.5):
             with pytest.raises(UnsupportedCriterionError):
                 PMeanWelfare(p)
+
+    def test_pmean_rejects_non_finite_p(self):
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(UnsupportedCriterionError):
+                PMeanWelfare(p)
+
+    def test_pmean_gain_is_the_log_power_difference(self):
+        assert PMeanWelfare(-1.0).gain(3, 2)[1] == pytest.approx(math.log(1 / 3 - 1 / 5))
+        assert PMeanWelfare(0.5).gain(4, 1)[1] == pytest.approx(math.log(5**0.5 - 2))
+        assert PMeanWelfare(-1.0).gain(0, 2) == (2, 0)
 
     def test_make_criterion(self):
         assert make_criterion("mnw").name == "mnw"
@@ -65,7 +80,7 @@ class TestGainValues:
 
     def test_unbound_leximin_gain_rejected(self):
         with pytest.raises(UnsupportedCriterionError):
-            Leximin().gain((0,), 1, 2)
+            Leximin().gain(0, 2)
 
 
 def _sample_criteria(c: int):
@@ -90,25 +105,23 @@ class TestGainAxioms:
             i, j = rng.sample(range(1, n + 1), 2)
             d1 = rng.choice([1, c])
             d2 = rng.choice([1, c])
+            ui, uj = u[i - 1], u[j - 1]
             for criterion in _sample_criteria(c):
                 # Higher value of d always helps (strictly).
-                assert criterion.gain(u, i, c) > criterion.gain(u, i, 1)
+                assert compare_gains(criterion.gain(ui, c), criterion.gain(ui, 1)) > 0
                 # Poorer agents score at least as high, ties only at equal utility.
-                gi, gj = criterion.gain(u, i, d1), criterion.gain(u, j, d1)
-                if u[i - 1] < u[j - 1]:
-                    assert gi > gj
-                elif u[i - 1] == u[j - 1]:
-                    assert not (gi > gj) and not (gj > gi)
+                order = compare_gains(criterion.gain(ui, d1), criterion.gain(uj, d1))
+                if ui < uj:
+                    assert order > 0
+                elif ui == uj:
+                    assert order == 0
                 # Gains are anti-monotone in own utility.
-                bumped = tuple(
-                    x + rng.randint(1, 4) if k == i - 1 else x
-                    for k, x in enumerate(u)
-                )
-                assert criterion.gain(u, i, d1) > criterion.gain(bumped, i, d1)
+                bumped = ui + rng.randint(1, 4)
+                assert compare_gains(criterion.gain(ui, d1), criterion.gain(bumped, d1)) > 0
                 # Gain order must agree with the criterion's successor order.
                 y = tuple(x + d1 if k == i - 1 else x for k, x in enumerate(u))
                 z = tuple(x + d2 if k == j - 1 else x for k, x in enumerate(u))
-                gain_order = criterion.gain(u, i, d1)._cmp(criterion.gain(u, j, d2))
+                gain_order = compare_gains(criterion.gain(ui, d1), criterion.gain(uj, d2))
                 assert gain_order == criterion.compare(y, z)
 
 
@@ -218,23 +231,50 @@ class TestSolveGeneral:
             assert {"iteration", "gain_c", "gain_1", "agent", "action"} <= set(record)
 
 
-class TestStronglyNegativePMean:
-    """At p = -20 and -50 the gains and power sums are tiny numbers, so a
-    tolerance with an absolute floor ties them all; only a purely relative
-    one keeps the solver optimal. The oracle sums exact fractions."""
+def _solve_against_pmean_oracle(p: float, trials: int) -> None:
+    rng = random.Random(f"pmean-exact:{p}")
+    for trial in range(trials):
+        family = FAMILIES[trial % len(FAMILIES)]
+        instance = random_instance(
+            family, rng.randint(2, 3), rng.randint(2, 6), rng.choice([2, 3]), rng
+        )
+        result = solve(instance, PMeanWelfare(p), check_invariants=True)
+        assert result.sorted_utilities in pmean_optima(instance, p), (family, trial)
 
-    @pytest.mark.parametrize("p", [-20, -50])
+
+class TestStronglyNegativePMean:
+    """At p = -20 and below the gains and power sums are tiny numbers, so a
+    tolerance with an absolute floor ties them all, and at p = -1000 the
+    powers themselves underflow a float; only logarithms compared with a
+    purely relative tolerance keep the solver optimal. The oracle sums
+    exact fractions."""
+
+    @pytest.mark.parametrize("p", [-20, -50, -1000])
     def test_matches_exact_fraction_optima(self, p):
-        rng = random.Random(f"pmean-exact:{p}")
-        for trial in range(120):
-            family = FAMILIES[trial % len(FAMILIES)]
-            instance = random_instance(
-                family, rng.randint(2, 3), rng.randint(2, 6), rng.choice([2, 3]), rng
-            )
-            result = solve(instance, PMeanWelfare(p), check_invariants=True)
-            assert result.sorted_utilities in exact_pmean_optima(instance, p), (
-                family, trial,
-            )
+        _solve_against_pmean_oracle(p, 120)
+
+
+class TestNonIntegerPMean:
+    """Fractional p against 60-digit decimal power sums, an arithmetic the
+    solver's float logarithms do not share."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.99, -3.7])
+    def test_matches_decimal_optima(self, p):
+        _solve_against_pmean_oracle(p, 150)
+
+
+def test_import_and_pmean_solve_load_no_mpmath():
+    # A fresh interpreter, so no other test's imports are counted.
+    script = (
+        "import sys, bifair\n"
+        "instance = bifair.random_instance('transversal', 3, 6, 2, 1)\n"
+        "bifair.solve(instance, bifair.PMeanWelfare(-1.5))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('mpmath')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bifair.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # SHA-256 of the canonical allocation, a NUL byte and the JSONL trace of the
