@@ -2,7 +2,8 @@
 
 Everything here treats the allocation as given: envy checks up to one/any
 good, welfare measures, and exact maximin-share values by exhaustive
-partition enumeration (desk scale only, never silently approximated).
+partition enumeration that stops at a proven ceiling (desk scale only,
+never silently approximated).
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def mms(instance: Instance, i: int) -> int:
     nonempty blocks leave some bundle empty and score zero, so the search
     walks restricted growth strings (good 0 in block 0, each later good
     joining an existing block or opening the next) pruned to exactly n
-    blocks.
+    blocks. A bundle is worth at most the sum of its goods' singleton
+    values, so the worst of n bundles is worth at most the floor of the
+    singleton total over n; the search stops once it reaches that ceiling.
     """
     if instance.n > MMS_MAX_AGENTS or instance.m > MMS_MAX_GOODS:
         raise SizeLimitError(
@@ -109,23 +112,26 @@ def mms(instance: Instance, i: int) -> int:
     if m < n:
         return 0
     values = bundle_value_table(instance.valuation(i), m)
+    ceiling = sum(values[1 << g] for g in range(m)) // n
     masks = [0] * n
     best = 0
 
-    def rec(pos: int, used: int) -> None:
+    def rec(pos: int, used: int) -> bool:
+        """Extend the partition from good ``pos``; True once at the ceiling."""
         nonlocal best
         if used + (m - pos) < n:
-            return
+            return False
         if pos == m:
-            worst = min(values[mask] for mask in masks[:n])
-            if worst > best:
-                best = worst
-            return
+            best = max(best, min(values[mask] for mask in masks))
+            return best >= ceiling
         bit = 1 << pos
         for blk in range(min(used + 1, n)):
             masks[blk] |= bit
-            rec(pos + 1, used + 1 if blk == used else used)
+            done = rec(pos + 1, used + 1 if blk == used else used)
             masks[blk] &= ~bit
+            if done:
+                return True
+        return False
 
     rec(0, 0)
     return best

@@ -31,6 +31,14 @@ def _write(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _load(loader, path: str, *args):
+    """Call a ``bio`` file loader; an unreadable or non-JSON file is bad input."""
+    try:
+        return loader(path, *args)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def _criterion_token(token: str) -> Criterion:
     if token.startswith("pmean:"):
         try:
@@ -42,7 +50,7 @@ def _criterion_token(token: str) -> Criterion:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = bio.load_instance(args.instance)
+    instance = _load(bio.load_instance, args.instance)
     criterion = make_criterion(args.criterion, p=args.p)
     result = solve(instance, criterion)
     payload = bio.emit_allocation(
@@ -58,8 +66,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    instance = bio.load_instance(args.instance)
-    allocation = bio.load_allocation(args.allocation, instance)
+    instance = _load(bio.load_instance, args.instance)
+    allocation = _load(bio.load_allocation, args.allocation, instance)
     report = audit_allocation(
         instance,
         allocation,

@@ -1,8 +1,22 @@
 """Exhaustive ground-truth engines for small instances.
 
-These enumerate every possible allocation to compute exact optima and to
-certify solver outputs, independently of the solver's own machinery. They
-are deliberately brute force; the size caps keep them honest.
+These compute exact optima and certify solver outputs independently of the
+solver's own machinery; the size caps keep them to desk scale.
+
+Optima range over complete allocations only. Every good adds 1 or c to
+whoever holds it, so an allocation that leaves a good in the pool is
+strictly Pareto-dominated by handing that good to any agent. Each
+criterion's ``compare`` is strictly monotone, so a dominated vector is
+never an optimum and dropping the pool loses nothing; the solver returns
+complete allocations anyway. (P-mean's log tie tolerance can let a
+dominated vector tie an optimum, but it is never an exact one.)
+
+The distinct utility vectors come from a DP over used-goods bitmasks, on
+per-agent bundle value tables: each agent in turn takes every subset of
+the goods still free, and the last agent takes the rest. Prefixes that
+reach the same used mask with the same utilities are merged, which is
+what saves work over walking every assignment. The (n+1)^m assignment
+count stays the size limit.
 """
 
 from __future__ import annotations
@@ -54,26 +68,33 @@ def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
 
 
 def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
-    """Distinct utility vectors over all allocations, via bitmask tables."""
+    """Distinct utility vectors over all complete allocations, by subset DP."""
     _check_cap(instance)
     n, m = instance.n, instance.m
+    full = (1 << m) - 1
     tables = [bundle_value_table(instance.valuation(i), m) for i in instance.agents]
-    seen: set[tuple[int, ...]] = set()
-    masks = [0] * (n + 1)
-    owners = range(n + 1)
-
-    def rec(g: int) -> None:
-        if g == m:
-            seen.add(tuple(tables[i][masks[i + 1]] for i in range(n)))
-            return
-        bit = 1 << g
-        for owner in owners:
-            masks[owner] |= bit
-            rec(g + 1)
-            masks[owner] &= ~bit
-
-    rec(0)
-    return seen
+    # used-goods mask -> distinct utility prefixes of the agents served so far
+    layer: dict[int, set[tuple[int, ...]]] = {0: {()}}
+    for table in tables[:-1]:
+        grown: dict[int, set[tuple[int, ...]]] = {}
+        for used, prefixes in layer.items():
+            rest = full ^ used
+            s = rest
+            while True:
+                value = table[s]
+                grown.setdefault(used | s, set()).update(
+                    prefix + (value,) for prefix in prefixes
+                )
+                if not s:
+                    break
+                s = (s - 1) & rest
+        layer = grown
+    last = tables[-1]
+    return {
+        prefix + (last[full ^ used],)
+        for used, prefixes in layer.items()
+        for prefix in prefixes
+    }
 
 
 @dataclass(frozen=True)
@@ -96,7 +117,7 @@ class BruteForceResult:
 
 
 def brute_force_optimum(instance: Instance, criterion: Criterion) -> BruteForceResult:
-    """Criterion optimum over every allocation, by full enumeration."""
+    """Criterion optimum over every complete allocation."""
     return _optimum_of(instance, criterion, _all_utility_vectors(instance))
 
 
@@ -122,7 +143,7 @@ def _optimum_of(
 def brute_force_optima(
     instance: Instance, criteria: Sequence[Criterion]
 ) -> list[BruteForceResult]:
-    """One enumeration pass shared across several criteria."""
+    """One enumeration of utility vectors shared across several criteria."""
     vectors = _all_utility_vectors(instance)
     return [_optimum_of(instance, criterion, vectors) for criterion in criteria]
 

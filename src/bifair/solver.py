@@ -102,7 +102,12 @@ class Criterion:
         raise NotImplementedError
 
     def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
-        """Order two utility vectors under the criterion; -1, 0 or 1."""
+        """Order two utility vectors under the criterion; -1, 0 or 1.
+
+        It must be strictly monotone: raising one agent's utility, the rest
+        unchanged, gives a strictly better vector. Brute force relies on
+        this to search complete allocations only.
+        """
         raise NotImplementedError
 
 

@@ -178,21 +178,35 @@ class TransversalMatroid(Matroid):
                 raise ValidationError(f"good {g} adjacent to unknown slot")
 
     def _matching(self, goods: Sequence[int]) -> dict[int, int]:
-        """Greedy augmenting-path matching; returns slot -> good."""
+        """Greedy augmenting-path matching; returns slot -> good.
+
+        Each good searches breadth-first for a shortest augmenting path, on
+        a queue rather than the call stack, so no input size reaches the
+        recursion limit.
+        """
         match: dict[int, int] = {}
 
-        def try_place(g: int, seen: set[int]) -> bool:
-            for s in self.adjacency[g]:
-                if s in seen:
-                    continue
-                seen.add(s)
-                if s not in match or try_place(match[s], seen):
-                    match[s] = g
-                    return True
-            return False
+        def try_place(root: int) -> None:
+            via: dict[int, int] = {}  # slot -> the good that reached it
+            held: dict[int, int | None] = {root: None}  # good reached -> its slot
+            queue = [root]
+            for g in queue:
+                for s in self.adjacency[g]:
+                    if s in via:
+                        continue
+                    via[s] = g
+                    if s in match:
+                        held[match[s]] = s
+                        queue.append(match[s])
+                        continue
+                    # Free slot: each good on the path moves to the slot it reached.
+                    while s is not None:
+                        g = via[s]
+                        match[s], s = g, held[g]
+                    return
 
         for g in goods:
-            try_place(g, set())
+            try_place(g)
         return match
 
     def rank(self, goods: Iterable[int]) -> int:

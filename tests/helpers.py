@@ -168,14 +168,11 @@ def ladder_instance(n: int = 30, block: int = 10, m: int = 60, c: int = 3) -> In
     return Instance(goods, c, tuple(valuations))
 
 
-def pmean_optima(instance: Instance, p: float) -> set[tuple[int, ...]]:
-    """Sorted utility vectors of every p-mean optimum, for ``p < 1``, ``p != 0``.
+def all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
+    """Utility vector of every assignment of goods to the pool or an agent.
 
-    Most positive agents first, then the best power sum of the positive
-    utilities (the smallest for ``p < 0``), over every assignment of goods
-    with values from ``brute_value``. Integer p sums exact ``Fraction``
-    powers; any other p sums 60-digit ``Decimal`` powers of the exact float
-    p, added in ascending order so equal multisets give equal sums.
+    Walks all (n+1)^m assignments with bundle values from ``brute_value``:
+    the plain enumeration that the library's subset DP must agree with.
     """
     n, m = instance.n, instance.m
     subsets = [frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m)]
@@ -187,7 +184,20 @@ def pmean_optima(instance: Instance, p: float) -> set[tuple[int, ...]]:
         masks = [0] * (n + 1)
         for g, owner in enumerate(owners):
             masks[owner] |= 1 << g
-        vectors.add(tuple(sorted(tables[i][masks[i + 1]] for i in range(n))))
+        vectors.add(tuple(tables[i][masks[i + 1]] for i in range(n)))
+    return vectors
+
+
+def pmean_optima(instance: Instance, p: float) -> set[tuple[int, ...]]:
+    """Sorted utility vectors of every p-mean optimum, for ``p < 1``, ``p != 0``.
+
+    Most positive agents first, then the best power sum of the positive
+    utilities (the smallest for ``p < 0``), over ``all_utility_vectors``.
+    Integer p sums exact ``Fraction`` powers; any other p sums 60-digit
+    ``Decimal`` powers of the exact float p, added in ascending order so
+    equal multisets give equal sums.
+    """
+    vectors = {tuple(sorted(v)) for v in all_utility_vectors(instance)}
     powers: dict[int, Fraction | Decimal] = {}
 
     def power(x: int) -> Fraction | Decimal:

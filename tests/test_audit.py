@@ -141,6 +141,23 @@ class TestMms:
             for i in instance.agents:
                 assert mms(instance, i) == _brute_mms(instance, i)
 
+    def test_ceiling_stop_matches_independent_enumeration(self):
+        # The search stops once a split reaches floor(singleton total / n);
+        # cover agents whose share reaches that ceiling and agents below it.
+        rng = random.Random(67)
+        at_ceiling = below = 0
+        for n, m in ((2, 8), (3, 7), (4, 6)):
+            for family in ("marked", "uniform", "partition", "transversal"):
+                instance = random_instance(family, n, m, rng.choice([2, 3]), rng)
+                for i in instance.agents:
+                    share = mms(instance, i)
+                    assert share == _brute_mms(instance, i), (family, n, m, i)
+                    value = instance.valuation(i).value
+                    ceiling = sum(value(frozenset({g})) for g in range(m)) // n
+                    at_ceiling += share == ceiling
+                    below += share < ceiling
+        assert at_ceiling and below
+
     def test_size_limits(self):
         too_many_agents = _identical_additive_instance(2, 4, 5)
         with pytest.raises(SizeLimitError):

@@ -252,6 +252,15 @@ class TestCli:
         assert code == 0
         assert "0 mismatches" in capsys.readouterr().out
 
+    def test_oracle_check_reaches_ten_goods(self, capsys):
+        # Seed 2 draws two 3-agent, 10-good instances: 4**10 assignments each.
+        code = main(
+            ["oracle-check", "--count", "2", "--max-n", "3", "--max-m", "10",
+             "--criteria", "mnw", "leximin", "pmean:-1", "--seed", "2"]
+        )
+        assert code == 0
+        assert "0 mismatches" in capsys.readouterr().out
+
     def test_audit_flags_envy_violation(self, tmp_path, capsys):
         from bifair.io import emit_instance
         from conftest import capped_vs_additive_instance
@@ -283,6 +292,33 @@ class TestCli:
         capsys.readouterr()
         assert main(["audit", str(inst), str(alloc), "--mms"]) == 2
         assert "limited" in capsys.readouterr().err
+
+
+class TestUnreadableFiles:
+    @pytest.fixture
+    def files(self, tmp_path):
+        inst = _worked_example_file(tmp_path)
+        alloc = tmp_path / "alloc.json"
+        assert main(["solve", str(inst), "-o", str(alloc)]) == 0
+        not_json = tmp_path / "notes.json"
+        not_json.write_text("bundles: none", encoding="utf-8")
+        return inst, alloc, not_json, tmp_path / "missing.json"
+
+    def test_solve(self, files, capsys):
+        _, _, not_json, missing = files
+        for path in (missing, not_json):
+            capsys.readouterr()
+            assert main(["solve", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {path}")
+            assert "Traceback" not in err
+
+    def test_audit(self, files, capsys):
+        inst, alloc, not_json, missing = files
+        for pair in ((missing, alloc), (not_json, alloc), (inst, missing), (inst, not_json)):
+            capsys.readouterr()
+            assert main(["audit", str(pair[0]), str(pair[1])]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot read")
 
 
 def _two_additive_agents(tmp_path, first: int, second: int):

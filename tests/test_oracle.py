@@ -14,6 +14,7 @@ from bifair.allocation import (
 from bifair.errors import SizeLimitError
 from bifair.io import random_instance
 from bifair.oracle import (
+    _optimum_of,
     brute_force_optima,
     brute_force_optimum,
     certify_dominating,
@@ -28,6 +29,7 @@ from bifair.solver import (
 )
 from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid
 from conftest import two_agent_instance
+from helpers import all_utility_vectors
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
@@ -95,6 +97,25 @@ class TestBruteForceOptimum:
                 elif key[0] == best_key[0] and abs(key[1] - best_key[1]) <= 1e-9:
                     best_vectors.add(vec)
             assert optimum.optimal_vectors == frozenset(best_vectors)
+
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_complete_allocations_give_the_plain_optima(self, family):
+        # The subset DP sees complete allocations only; the plain walk also
+        # leaves goods in the pool. Their optima must be the same vectors.
+        rng = random.Random(f"complete:{family}")
+        for n, m in ((1, 5), (2, 7), (3, 6), (4, 3), (4, 5), (4, 7)):
+            c = rng.choice([2, 3])
+            instance = random_instance(family, n, m, c, rng)
+            criteria = [
+                MaxNashWelfare(), Leximin(c),
+                PMeanWelfare(-1.0), PMeanWelfare(0.5), PMeanWelfare(-20.0),
+            ]
+            vectors = all_utility_vectors(instance)
+            optima = brute_force_optima(instance, criteria)
+            for criterion, result in zip(criteria, optima):
+                expected = _optimum_of(instance, criterion, vectors).optimal_vectors
+                assert result.optimal_vectors == expected, (family, n, m, criterion.name)
 
 
 class TestDecompositionEnumeration:

@@ -329,3 +329,12 @@ def test_bundle_value_table_matches_direct():
     for mask in range(16):
         subset = frozenset(g for g in range(4) if mask >> g & 1)
         assert table[mask] == val.value(subset)
+
+
+def test_transversal_chain_ranks_without_recursion():
+    # Good g may take slot g - 1 or g: a greedy search that displaced one
+    # good per stack frame would nest thousands of calls deep.
+    m = 5000
+    adjacency = tuple(frozenset({max(g - 1, 0), g}) for g in range(m))
+    matroid = TransversalMatroid(m, m, adjacency)
+    assert matroid.rank(range(m)) == m
