@@ -28,7 +28,15 @@ def _write(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
+        _write_file(text, path)
+
+
+def _write_file(text: str, path: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is bad input."""
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _load(loader, path: str, *args):
@@ -58,10 +66,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     _write(bio.dumps_canonical(payload), args.output)
     if args.trace:
-        Path(args.trace).write_text(result.trace.to_jsonl() + "\n", encoding="utf-8")
+        _write_file(result.trace.to_jsonl() + "\n", args.trace)
     if args.dot:
         graph = build_exchange_graph(instance, result.decomposition.clean)
-        Path(args.dot).write_text(graph.to_dot() + "\n", encoding="utf-8")
+        _write_file(graph.to_dot() + "\n", args.dot)
     return 0
 
 

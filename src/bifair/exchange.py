@@ -45,13 +45,21 @@ class ExchangeGraph:
 
     ``owner`` maps each good to the index of the bundle holding it. A solver
     keeps one graph for a whole solve and moves it along with ``update``.
+
+    ``dead`` holds goods from which no path reaches the pool ``clean[0]``:
+    every good a failed ``shortest_path`` search reached. Everything a dead
+    good reaches is dead too, so later searches skip these goods. The set
+    depends only on ``clean`` and ``owner``, so ``update``, the one place
+    they change, clears it; provisional hand-outs leave both alone.
     """
 
     instance: Instance
     clean: CleanBundles
     owner: dict[int, int] = field(init=False)
+    dead: set[int] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.dead = set()
         self.owner = {}
         for idx, bundle in enumerate(self.clean):
             for g in bundle:
@@ -81,6 +89,7 @@ class ExchangeGraph:
         for g, idx in zip(path, moved):
             owner[g] = idx
         self.clean = clean
+        self.dead.clear()
 
     def edges(self) -> list[tuple[int, int]]:
         """Materialize every edge; intended for dumps and small instances."""
@@ -107,20 +116,22 @@ def build(instance: Instance, clean: CleanBundles) -> ExchangeGraph:
     return ExchangeGraph(instance, clean)
 
 
-def shortest_path(
-    graph: ExchangeGraph, sources: Iterable[int], targets: Iterable[int]
-) -> tuple[int, ...] | None:
-    """Breadth-first shortest path from any source good to any target good.
+def shortest_path(graph: ExchangeGraph, sources: Iterable[int]) -> tuple[int, ...] | None:
+    """Breadth-first shortest path from any source good to the pool ``clean[0]``.
 
     Among equal-length paths the lexicographically smallest good-id sequence
     wins: each BFS layer is processed in path order and neighbors are
-    explored in ascending id, so the first path that reaches a target is the
-    canonical one. Returns ``None`` when no target is reachable.
+    explored in ascending id, so the first path that reaches the pool is the
+    canonical one. Returns ``None`` when the pool is unreachable, and then
+    adds every good the search reached to ``graph.dead``.
+
+    Dead goods are neither started from nor enqueued. This keeps the
+    canonical path: no dead good has an edge to a live one, so every live
+    good keeps its BFS parent and distance, and dropping dead goods keeps
+    the order of the rest within each layer. Pool goods are never dead.
     """
-    target_set = frozenset(targets)
-    frontier = sorted(set(sources))
-    if not frontier:
-        return None
+    targets, dead = graph.clean[0], graph.dead
+    frontier = sorted(set(sources) - dead)
     parent: dict[int, int | None] = {g: None for g in frontier}
 
     def path_to(g: int) -> tuple[int, ...]:
@@ -133,15 +144,16 @@ def shortest_path(
 
     while frontier:
         for g in frontier:
-            if g in target_set:
+            if g in targets:
                 return path_to(g)
         next_frontier: list[int] = []
         for g in frontier:
             for h in graph.out_neighbors(g):
-                if h not in parent:
+                if h not in parent and h not in dead:
                     parent[h] = g
                     next_frontier.append(h)
         frontier = next_frontier
+    dead.update(parent)
     return None
 
 

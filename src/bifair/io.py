@@ -45,10 +45,23 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValidationError(f"{where}: missing fields {sorted(missing)}")
 
 
-def _good_indices(names: Iterable[str], index: dict[str, int], where: str) -> frozenset[int]:
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, where: str, what: str):
+    """``value`` if it is of JSON type ``kind``; else bad input.
+
+    Nothing is coerced, and a bool is not an integer.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{where}: {what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _good_indices(names: list[str], index: dict[str, int], where: str) -> frozenset[int]:
     out = set()
-    for name in names:
-        if name not in index:
+    for name in _typed(names, list, where, "good names"):
+        if not isinstance(name, str) or name not in index:
             raise ValidationError(f"{where}: unknown good {name!r}")
         out.add(index[name])
     return frozenset(out)
@@ -60,31 +73,41 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
     kind = obj["type"]
     if kind == "uniform":
         _require_keys(obj, {"type", "cap"}, {"cap"}, where)
-        return UniformMatroid(m, int(obj["cap"]))
+        return UniformMatroid(m, _typed(obj["cap"], int, where, "cap"))
     if kind == "partition":
         _require_keys(obj, {"type", "parts", "caps"}, {"parts", "caps"}, where)
         parts = tuple(
-            _good_indices(part, index, where) for part in obj["parts"]
+            _good_indices(part, index, where)
+            for part in _typed(obj["parts"], list, where, "parts")
         )
-        return PartitionMatroid(m, parts, tuple(int(c) for c in obj["caps"]))
+        caps = tuple(
+            _typed(cap, int, where, "cap")
+            for cap in _typed(obj["caps"], list, where, "caps")
+        )
+        return PartitionMatroid(m, parts, caps)
     if kind == "marked":
         _require_keys(obj, {"type", "marked"}, {"marked"}, where)
         return MarkedMatroid(m, _good_indices(obj["marked"], index, where))
     if kind == "transversal":
         _require_keys(obj, {"type", "slots", "edges"}, {"slots", "edges"}, where)
-        slots = int(obj["slots"])
+        slots = _typed(obj["slots"], int, where, "slots")
         adjacency = [frozenset()] * m
-        for name, slot_list in obj["edges"].items():
+        for name, slot_list in _typed(obj["edges"], dict, where, "edges").items():
             if name not in index:
                 raise ValidationError(f"{where}: unknown good {name!r} in edges")
-            adjacency[index[name]] = frozenset(int(s) for s in slot_list)
+            adjacency[index[name]] = frozenset(
+                _typed(s, int, where, "slot id")
+                for s in _typed(slot_list, list, where, f"edges of {name!r}")
+            )
         return TransversalMatroid(m, slots, tuple(adjacency))
     if kind == "explicit":
         _require_keys(obj, {"type", "rank"}, {"rank"}, where)
         table: dict[frozenset[int], int] = {}
-        for key, value in obj["rank"].items():
+        for key, value in _typed(obj["rank"], dict, where, "rank").items():
             names = [part for part in key.split(",") if part]
-            table[_good_indices(names, index, where)] = int(value)
+            table[_good_indices(names, index, where)] = _typed(
+                value, int, where, f"rank of {key!r}"
+            )
         matroid = ExplicitMatroid(m, table)
         if len(table) != 1 << m:
             raise ValidationError(
@@ -104,7 +127,9 @@ def parse_instance(data: dict) -> Instance:
     )
     if data["version"] != INSTANCE_VERSION:
         raise ValidationError(f"unsupported instance version {data['version']!r}")
-    goods = tuple(data["goods"])
+    goods = tuple(_typed(data["goods"], list, "instance", "goods"))
+    if not all(isinstance(name, str) for name in goods):
+        raise ValidationError("instance: goods must be a list of strings")
     if len(set(goods)) != len(goods):
         raise ValidationError("good names must be unique")
     index = {name: g for g, name in enumerate(goods)}
@@ -127,7 +152,7 @@ def parse_instance(data: dict) -> Instance:
 
     valuations = []
     names = []
-    for idx, agent in enumerate(data["agents"], start=1):
+    for idx, agent in enumerate(_typed(data["agents"], list, "instance", "agents"), start=1):
         where = f"agent {idx}"
         _require_keys(agent, {"name", "matroid"}, {"matroid"}, where)
         names.append(agent.get("name", f"agent{idx}"))
@@ -236,7 +261,7 @@ def parse_allocation(data: dict, instance: Instance) -> Allocation:
     )
     if data["version"] != ALLOCATION_VERSION:
         raise ValidationError(f"unsupported allocation version {data['version']!r}")
-    if len(data["bundles"]) != instance.n:
+    if len(_typed(data["bundles"], list, "allocation", "bundles")) != instance.n:
         raise ValidationError(
             f"allocation has {len(data['bundles'])} bundles for {instance.n} agents"
         )

@@ -15,7 +15,9 @@ tie-breaking is what makes the output canonical among all optimal
 allocations. The pools are ``(utility, index)`` heaps, and one solver state
 (utilities, pools, the exchange graph's clean bundles and owner map, the
 holders of provisional goods) is updated in place, not rebuilt every
-iteration.
+iteration. The graph also keeps the goods a failed path search proved
+unable to reach the pool, so the searches before the next transfer skip
+them; provisional hand-outs leave that record valid.
 
 A gain is a plain pair ``(escape, magnitude)`` ordered lexicographically
 by ``compare_gains``. The escape is the value added to an agent at zero
@@ -419,8 +421,7 @@ def solve(
             i = agent_c
             if check_invariants:
                 _check_selection(utilities, (k for _, k in state.in_play), i)
-            clean = graph.clean
-            path = shortest_path(graph, f_set(instance, clean, i), clean[0])
+            path = shortest_path(graph, f_set(instance, graph.clean, i))
             if path is None:
                 state.bench()
                 record = TraceRecord(iteration, *gains, i, "removed-from-play")
@@ -480,10 +481,9 @@ def utilitarian_optimal(instance: Instance) -> Allocation:
     while progress and graph.clean[0]:
         progress = False
         for i in instance.agents:
-            clean = graph.clean
-            if not clean[0]:
+            if not graph.clean[0]:
                 break
-            path = shortest_path(graph, f_set(instance, clean, i), clean[0])
+            path = shortest_path(graph, f_set(instance, graph.clean, i))
             if path is not None:
                 _transfer(graph, path, i)
                 progress = True

@@ -262,7 +262,7 @@ def test_acceptance_6_structural_invariants():
             continue
         graph = build(instance, clean)
         for i in instance.agents:
-            path = shortest_path(graph, f_set(instance, clean, i), clean[0])
+            path = shortest_path(graph, f_set(instance, clean, i))
             if path is None:
                 continue
             result = augment_path(instance, clean, path, i)

@@ -127,14 +127,14 @@ class TestShortestPath:
         instance = _instance(UniformMatroid(3, 2))
         clean = (frozenset({0, 1, 2}), frozenset())
         graph = build(instance, clean)
-        path = shortest_path(graph, f_set(instance, clean, 1), clean[0])
+        path = shortest_path(graph, f_set(instance, clean, 1))
         assert path == (0,)
 
     def test_unreachable_returns_none(self):
         instance = _instance(MarkedMatroid(3, frozenset({0})))
         clean = (frozenset({1, 2}), frozenset({0}))
         graph = build(instance, clean)
-        assert shortest_path(graph, f_set(instance, clean, 1), clean[0]) is None
+        assert shortest_path(graph, f_set(instance, clean, 1)) is None
 
     def test_two_agent_steal_needs_two_hops(self):
         # Agent 1 only values good 0, held by agent 2, who can swap it for
@@ -144,7 +144,7 @@ class TestShortestPath:
         instance = _instance(agent1, agent2)
         clean = (frozenset({1}), frozenset(), frozenset({0}))
         graph = build(instance, clean)
-        path = shortest_path(graph, f_set(instance, clean, 1), clean[0])
+        path = shortest_path(graph, f_set(instance, clean, 1))
         assert path == (0, 1)
 
     def test_matches_exhaustive_search(self):
@@ -157,7 +157,7 @@ class TestShortestPath:
             graph = build(instance, clean)
             i = rng.choice(list(instance.agents))
             sources = f_set(instance, clean, i)
-            path = shortest_path(graph, sources, clean[0])
+            path = shortest_path(graph, sources)
             brute = all_shortest_paths(
                 set(graph.edges()), range(instance.m), sources, clean[0]
             )
@@ -167,6 +167,38 @@ class TestShortestPath:
                 compared += 1
                 assert path == min(brute)
         assert compared > 30
+
+    def test_dead_goods_keep_the_canonical_path(self):
+        # Search from every agent on one graph, so failed searches fill the
+        # dead set before later ones; then transfer, which clears it.
+        rng = random.Random(31)
+        compared = failed = 0
+        for trial in range(160):
+            family = FAMILIES[trial % len(FAMILIES)]
+            instance = random_instance(family, rng.randint(2, 4), 7, 2, rng)
+            clean = random_clean_allocation(instance, rng)
+            graph = build(instance, clean)
+            for _ in range(2):
+                found = None
+                for i in instance.agents:
+                    sources = f_set(instance, graph.clean, i)
+                    path = shortest_path(graph, sources)
+                    brute = all_shortest_paths(
+                        set(graph.edges()), range(instance.m), sources, graph.clean[0]
+                    )
+                    if path is None:
+                        assert not brute
+                        failed += 1
+                    else:
+                        assert path == min(brute)
+                        compared += 1
+                        found = found or (path, i)
+                if found is None:
+                    break
+                path, i = found
+                graph.update(augment(instance, graph.clean, path, i, graph.owner), path, i)
+                assert not graph.dead
+        assert compared > 200 and failed > 100
 
 
 class TestAugment:
@@ -196,7 +228,7 @@ class TestAugment:
                 continue
             i = rng.choice(list(instance.agents))
             graph = build(instance, clean)
-            path = shortest_path(graph, f_set(instance, clean, i), clean[0])
+            path = shortest_path(graph, f_set(instance, clean, i))
             if path is None:
                 continue
             result = augment(instance, clean, path, i)

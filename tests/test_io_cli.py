@@ -321,6 +321,80 @@ class TestUnreadableFiles:
             assert capsys.readouterr().err.startswith("error: cannot read")
 
 
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("flag", ["-o", "--trace", "--dot"])
+    def test_solve(self, tmp_path, capsys, flag):
+        inst = _worked_example_file(tmp_path)
+        target = tmp_path / "missing" / "out"
+        assert main(["solve", str(inst), flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+
+    def test_gen_and_audit(self, tmp_path, capsys):
+        inst = _worked_example_file(tmp_path)
+        alloc = tmp_path / "alloc.json"
+        assert main(["solve", str(inst), "-o", str(alloc)]) == 0
+        target = str(tmp_path / "missing" / "out")
+        for argv in (
+            ["gen", "--family", "marked", "--n", "2", "--m", "3", "--c", "2",
+             "--seed", "1", "-o", target],
+            ["audit", str(inst), str(alloc), "-o", target],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+class TestInputContract:
+    """Wrongly typed fields exit 2 naming the agent; nothing is coerced."""
+
+    @pytest.mark.parametrize("matroid", [
+        pytest.param({"type": "uniform", "cap": "x"}, id="cap-string"),
+        pytest.param({"type": "uniform", "cap": 1.7}, id="cap-float"),
+        pytest.param({"type": "uniform", "cap": True}, id="cap-bool"),
+        pytest.param({"type": "partition", "parts": [["g1"], ["g2"]], "caps": ["1", "1"]},
+                     id="caps-strings"),
+        pytest.param({"type": "partition", "parts": [["g1"]], "caps": 1}, id="caps-int"),
+        pytest.param({"type": "partition", "parts": 5, "caps": [1]}, id="parts-int"),
+        pytest.param({"type": "transversal", "slots": 1, "edges": [["g1", 0]]},
+                     id="edges-list"),
+        pytest.param({"type": "transversal", "slots": 1.0, "edges": {"g1": [0]}},
+                     id="slots-float"),
+        pytest.param({"type": "transversal", "slots": 1, "edges": {"g1": ["0"]}},
+                     id="slot-id-string"),
+        pytest.param({"type": "transversal", "slots": 1, "edges": {"g1": 0}},
+                     id="slot-list-int"),
+        pytest.param({"type": "explicit", "rank": [0, 1]}, id="rank-list"),
+        pytest.param({"type": "explicit", "rank": {"": 0, "g1": 1.0}}, id="rank-float"),
+        pytest.param({"type": "marked", "marked": 5}, id="marked-int"),
+        pytest.param({"type": "marked", "marked": [["g1"]]}, id="marked-nested"),
+    ])
+    def test_bad_matroid_field(self, tmp_path, capsys, matroid):
+        goods = ["g1"] if matroid["type"] == "explicit" else ["g1", "g2"]
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": goods,
+            "agents": [{"matroid": {"type": "uniform", "cap": 1}}, {"matroid": matroid}],
+        }, "error: agent 2: ")
+
+    @pytest.mark.parametrize("goods", ["abc", [1, 2], None],
+                             ids=["string", "ints", "null"])
+    def test_goods_must_be_a_list_of_strings(self, tmp_path, capsys, goods):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": goods,
+            "agents": [{"matroid": {"type": "uniform", "cap": 1}}],
+        }, "error: instance: goods must be a list")
+
+    @staticmethod
+    def _solve_rejects(tmp_path, capsys, data, prefix):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
+        assert "Traceback" not in err
+
+
 def _two_additive_agents(tmp_path, first: int, second: int):
     """Instance and allocation files: two additive agents, c = 3, holding
     ``first`` and ``second`` goods, so their utilities are 3x those counts."""

@@ -13,6 +13,7 @@ import pytest
 
 import bifair
 from bifair.errors import UnsupportedCriterionError, ValidationError
+from bifair.exchange import ExchangeGraph
 from bifair.io import dumps_canonical, emit_allocation, random_instance
 from bifair.solver import (
     BOTTOM_GAIN,
@@ -302,6 +303,23 @@ class TestLadder:
         text = allocation + "\0" + result.trace.to_jsonl()
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == LADDER_DIGESTS[criterion.name]
+
+    def test_one_block_expansions_grow_linearly(self, monkeypatch):
+        # Half the searches fail; without the dead set each failed search
+        # walks the same chain again, about n^2 / 2 expansions in all.
+        n = 200
+        instance = ladder_instance(n=n, block=n, m=2 * n, c=3)
+        expanded = []
+        out_neighbors = ExchangeGraph.out_neighbors
+
+        def counted(graph, g):
+            expanded.append(g)
+            return out_neighbors(graph, g)
+
+        monkeypatch.setattr(ExchangeGraph, "out_neighbors", counted)
+        result = solve(instance, Leximin(3))
+        assert max(len(record.path or ()) for record in result.trace.records) == n
+        assert len(expanded) <= 2 * n
 
 
 class TestUtilitarian:
