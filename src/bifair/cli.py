@@ -131,6 +131,9 @@ def _oracle_check_one(
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     for token in args.criteria:
         _criterion_token(token)
+    for flag, bound in (("--max-n", args.max_n), ("--max-m", args.max_m)):
+        if bound < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {bound}")
     jobs = []
     for family in args.families:
         if family not in bio.GENERATOR_FAMILIES:

@@ -15,8 +15,11 @@ The distinct utility vectors come from a DP over used-goods bitmasks, on
 per-agent bundle value tables: each agent in turn takes every subset of
 the goods still free, and the last agent takes the rest. Prefixes that
 reach the same used mask with the same utilities are merged, which is
-what saves work over walking every assignment. The (n+1)^m assignment
-count stays the size limit.
+what saves work over walking every assignment. Its size limit counts its own
+steps: n * 2^m table entries plus one step per prefix per submask taken. It
+refuses up front when the least that count can be is over the cap, and stops
+once the running count passes it. The engines that do walk every assignment
+are limited by the (n+1)^m count.
 """
 
 from __future__ import annotations
@@ -40,16 +43,28 @@ ENUMERATION_CAP = 10**7
 CERTIFY_MAX_GOODS = 6
 
 
-def _assignment_count(instance: Instance) -> int:
-    return (instance.n + 1) ** instance.m
-
-
-def _check_cap(instance: Instance) -> None:
-    total = _assignment_count(instance)
+def _check_cap(total: int, what: str) -> None:
     if total > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"{total} assignments exceed the {ENUMERATION_CAP} enumeration cap"
+            f"{total} {what} exceed the {ENUMERATION_CAP} enumeration cap"
         )
+
+
+def _check_assignments(instance: Instance) -> None:
+    _check_cap((instance.n + 1) ** instance.m, "assignments")
+
+
+def _least_dp_steps(instance: Instance) -> int:
+    """The subset DP's step count can be no less than this.
+
+    The tables hold n * 2^m entries. The first agent takes the 2^m submasks
+    of the full mask; every later agent but the last sees each used mask with
+    at least one prefix, and 2^|free| summed over all masks is 3^m.
+    """
+    n, m = instance.n, instance.m
+    if n == 1:
+        return 2**m
+    return (n + 1) * 2**m + (n - 2) * 3**m
 
 
 def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
@@ -58,7 +73,7 @@ def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
     Good g is the g-th digit, base n+1, least significant last; digit value
     is the receiving bundle index.
     """
-    _check_cap(instance)
+    _check_assignments(instance)
     n, m = instance.n, instance.m
     for digits in itertools.product(range(n + 1), repeat=m):
         bundles: list[set[int]] = [set() for _ in range(n + 1)]
@@ -69,16 +84,19 @@ def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
 
 def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
     """Distinct utility vectors over all complete allocations, by subset DP."""
-    _check_cap(instance)
+    _check_cap(_least_dp_steps(instance), "subset DP steps")
     n, m = instance.n, instance.m
     full = (1 << m) - 1
     tables = [bundle_value_table(instance.valuation(i), m) for i in instance.agents]
+    steps = n << m
     # used-goods mask -> distinct utility prefixes of the agents served so far
     layer: dict[int, set[tuple[int, ...]]] = {0: {()}}
     for table in tables[:-1]:
         grown: dict[int, set[tuple[int, ...]]] = {}
         for used, prefixes in layer.items():
             rest = full ^ used
+            steps += len(prefixes) << rest.bit_count()
+            _check_cap(steps, "subset DP steps")
             s = rest
             while True:
                 value = table[s]
@@ -199,7 +217,7 @@ def certify_dominating(
             f"certification enumerates decompositions and is limited to "
             f"m <= {CERTIFY_MAX_GOODS} goods"
         )
-    _check_cap(instance)
+    _check_assignments(instance)
     criterion = criterion.bind(instance)
     own_utilities = utility_vector(instance, result.allocation)
     own = (result.allocation, result.decomposition)

@@ -32,11 +32,11 @@ relative 1e-12 on the values themselves.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple, Sequence
 
 from .allocation import Allocation, Decomposition, utility_vector
 from .errors import InternalInvariantError, UnsupportedCriterionError
@@ -223,9 +223,13 @@ def make_criterion(name: str, p: float | None = None) -> Criterion:
     raise UnsupportedCriterionError(f"unknown criterion {name!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One solver iteration: who was picked, why, and what happened."""
+class TraceRecord(NamedTuple):
+    """One solver iteration: who was picked, why, and what happened.
+
+    Its JSON line is exactly ``json.dumps(record.to_dict(), sort_keys=True)``,
+    and a trace joins its lines with ``"\\n"``; ``SolveTrace.to_jsonl`` writes
+    those bytes directly.
+    """
 
     iteration: int
     gain_c: str
@@ -258,7 +262,27 @@ class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in self.records)
+        """The records as JSON lines joined by ``"\\n"``, no final newline.
+
+        Each line is exactly ``json.dumps(record.to_dict(), sort_keys=True)``:
+        keys in sorted order, strings escaped by the same ASCII encoder,
+        integers as ``str`` gives them and absent fields left out.
+        """
+        quote = encode_basestring_ascii
+        lines = []
+        for (iteration, gain_c, gain_1, agent, action,
+             path, good, replacement) in self.records:
+            line = (f'{{"action": {quote(action)}, "agent": {agent}, '
+                    f'"gain_1": {quote(gain_1)}, "gain_c": {quote(gain_c)}')
+            if good is not None:
+                line += f', "good": {good}'
+            line += f', "iteration": {iteration}'
+            if path is not None:
+                line += f', "path": [{", ".join(map(str, path))}]'
+            if replacement is not None:
+                line += f', "replacement": {replacement}'
+            lines.append(line + "}")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -428,8 +452,7 @@ def solve(
             else:
                 replacement = state.augment(path, i)
                 record = TraceRecord(
-                    iteration, *gains, i, "augmented",
-                    path=path, replacement=replacement,
+                    iteration, *gains, i, "augmented", path, None, replacement
                 )
         else:
             i = agent_1
@@ -438,7 +461,7 @@ def solve(
             if check_invariants:
                 _check_selection(utilities, (k for _, k in state.benched), i)
             good = state.give_provisional(i)
-            record = TraceRecord(iteration, *gains, i, "provisional", good=good)
+            record = TraceRecord(iteration, *gains, i, "provisional", None, good)
         trace.records.append(record)
         if check_invariants:
             state.check_invariants()

@@ -424,6 +424,14 @@ class TestCriterionParameters:
         assert main(["oracle-check", "--count", "1", "--criteria", "pmean:x"]) == 2
         assert "pmean:x" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-m"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_oracle_check_rejects_an_empty_size_range(self, capsys, flag, bound):
+        assert main(["oracle-check", "--count", "1", flag, bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be at least 1, got {bound}\n"
+        assert captured.out == ""
+
     def test_audit_rejects_non_finite_p(self, tmp_path, capsys):
         inst, alloc = _two_additive_agents(tmp_path, 2, 1)
         assert main(["audit", str(inst), str(alloc), "--pmean", "nan"]) == 2

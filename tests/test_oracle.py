@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import bifair.oracle
 from bifair.allocation import (
     INCOMPARABLE_EQUAL,
     Allocation,
@@ -116,6 +117,36 @@ class TestBruteForceOptimum:
             for criterion, result in zip(criteria, optima):
                 expected = _optimum_of(instance, criterion, vectors).optimal_vectors
                 assert result.optimal_vectors == expected, (family, n, m, criterion.name)
+
+
+class TestBruteForceSizeLimit:
+    """The subset DP is limited by its own steps, not by the (n+1)^m
+    assignments it no longer walks."""
+
+    def test_three_agents_twelve_goods_fit(self):
+        # 4^12 assignments, but about 550,000 DP steps.
+        instance = random_instance("marked", 3, 12, 3, random.Random("cap:3x12"))
+        optimum, = brute_force_optima(instance, [MaxNashWelfare()])
+        assert optimum.matches(solve(instance, MaxNashWelfare()).sorted_utilities)
+
+    def test_larger_instance_refused_before_any_table(self, monkeypatch):
+        instance = random_instance("marked", 4, 16, 3, random.Random("cap:4x16"))
+
+        def no_table(*args):
+            raise AssertionError("built a value table past the cap")
+
+        monkeypatch.setattr(bifair.oracle, "bundle_value_table", no_table)
+        with pytest.raises(SizeLimitError, match="subset DP steps"):
+            brute_force_optima(instance, [MaxNashWelfare()])
+
+    def test_prefix_steps_count_against_the_cap(self, monkeypatch):
+        # At least 21,219 steps up front, but about 189,000 once the agents'
+        # distinct utility prefixes multiply the submasks.
+        instance = random_instance("partition", 5, 8, 3, random.Random("partition"))
+        brute_force_optima(instance, [Leximin(3)])
+        monkeypatch.setattr(bifair.oracle, "ENUMERATION_CAP", 50_000)
+        with pytest.raises(SizeLimitError, match="subset DP steps"):
+            brute_force_optima(instance, [Leximin(3)])
 
 
 class TestDecompositionEnumeration:

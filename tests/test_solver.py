@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bifair
 from bifair.errors import UnsupportedCriterionError, ValidationError
@@ -20,6 +23,8 @@ from bifair.solver import (
     Leximin,
     MaxNashWelfare,
     PMeanWelfare,
+    SolveTrace,
+    TraceRecord,
     compare_gains,
     make_criterion,
     solve,
@@ -222,14 +227,66 @@ class TestSolveGeneral:
                 assert a.allocation.bundles == b.allocation.bundles
 
     def test_trace_serializes_to_jsonl(self, worked_example):
-        import json
-
         trace = solve(worked_example, Leximin(5)).trace
         lines = trace.to_jsonl().splitlines()
         assert len(lines) == len(trace.records)
         for line in lines:
             record = json.loads(line)
             assert {"iteration", "gain_c", "gain_1", "agent", "action"} <= set(record)
+
+
+def _dumps_lines(records) -> str:
+    return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in records)
+
+
+_trace_text = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\n\t\x7f", "é ☃ 𝄞", "\ud800"]),
+)
+_optional_int = st.none() | st.integers()
+_trace_records = st.builds(
+    TraceRecord,
+    iteration=st.integers(),
+    gain_c=_trace_text,
+    gain_1=_trace_text,
+    agent=st.integers(),
+    action=_trace_text,
+    path=st.none() | st.lists(st.integers(), max_size=6).map(tuple),
+    good=_optional_int,
+    replacement=_optional_int,
+)
+
+
+class TestTraceJsonl:
+    """``to_jsonl`` writes its lines directly; they must be the bytes that
+    ``json.dumps(record.to_dict(), sort_keys=True)`` gives."""
+
+    @given(st.lists(_trace_records, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps_on_any_record(self, records):
+        assert SolveTrace(records).to_jsonl() == _dumps_lines(records)
+
+    def test_matches_json_dumps_on_real_solves(self):
+        rng = random.Random("trace-jsonl")
+        criteria = [MaxNashWelfare(), Leximin(), PMeanWelfare(-1.0), PMeanWelfare(0.5)]
+        gains = set()
+        for trial in range(40):
+            family = FAMILIES[trial % len(FAMILIES)]
+            instance = random_instance(
+                family, rng.randint(1, 5), rng.randint(1, 16), rng.choice([2, 3]), rng
+            )
+            for criterion in criteria:
+                trace = solve(instance, criterion).trace
+                assert trace.to_jsonl() == _dumps_lines(trace.records)
+                gains.update(g for r in trace.records for g in (r.gain_c, r.gain_1))
+        kinds = {
+            "fraction": any("/" in g for g in gains),
+            "integer": any(g.lstrip("-").isdigit() for g in gains),
+            "log": any("." in g and "(" not in g for g in gains),
+            "zero-escape": any(g.startswith("zero-escape(") for g in gains),
+            "-inf": "-inf" in gains,
+        }
+        assert all(kinds.values()), kinds
 
 
 def _solve_against_pmean_oracle(p: float, trials: int) -> None:
