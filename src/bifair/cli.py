@@ -15,7 +15,7 @@ from pathlib import Path
 from . import io as bio
 from .audit import audit_allocation
 from .errors import InternalInvariantError, UnsupportedCriterionError, ValidationError
-from .exchange import build as build_exchange_graph
+from .exchange import ExchangeGraph
 from .oracle import brute_force_optima
 from .solver import Criterion, make_criterion, solve
 
@@ -68,7 +68,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         _write_file(result.trace.to_jsonl() + "\n", args.trace)
     if args.dot:
-        graph = build_exchange_graph(instance, result.decomposition.clean)
+        graph = ExchangeGraph(instance, result.decomposition.clean)
         _write_file(graph.to_dot() + "\n", args.dot)
     return 0
 
@@ -131,7 +131,8 @@ def _oracle_check_one(
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     for token in args.criteria:
         _criterion_token(token)
-    for flag, bound in (("--max-n", args.max_n), ("--max-m", args.max_m)):
+    for flag, bound in (("--count", args.count), ("--max-n", args.max_n),
+                        ("--max-m", args.max_m)):
         if bound < 1:
             raise ValidationError(f"{flag} must be at least 1, got {bound}")
     jobs = []

@@ -8,29 +8,21 @@ so pool goods have edges to every allocated good.
 
 Shifting goods along a shortest path from an agent's frontier to another
 bundle gives that agent one more high-value good, keeps every intermediate
-owner whole, and shrinks the path's final bundle by one.
+owner whole, and shrinks the path's final bundle by one. ``augment`` makes
+that shift in place: it moves the path's goods between the graph's mutable
+bundles and owner map, and copies no bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .valuation import GoodSet, Instance
 
-CleanBundles = tuple[GoodSet, ...]
 
-
-def _check_clean(instance: Instance, clean: CleanBundles) -> None:
-    if len(clean) != instance.n + 1:
-        raise PreconditionError(f"expected {instance.n + 1} clean bundles")
-    for i in instance.agents:
-        if not instance.valuation(i).is_clean(clean[i]):
-            raise PreconditionError(f"bundle of agent {i} is not clean")
-
-
-def f_set(instance: Instance, clean: CleanBundles, i: int) -> GoodSet:
+def f_set(instance: Instance, clean: Sequence[AbstractSet[int]], i: int) -> GoodSet:
     """Goods (allocated anywhere or free) that extend agent i's clean bundle.
 
     These are exactly the goods worth the high value c to agent i on top of
@@ -43,27 +35,34 @@ def f_set(instance: Instance, clean: CleanBundles, i: int) -> GoodSet:
 class ExchangeGraph:
     """Exchange graph over a clean allocation, with lazily computed edges.
 
-    ``owner`` maps each good to the index of the bundle holding it. A solver
-    keeps one graph for a whole solve and moves it along with ``update``.
+    The constructor takes one bundle per index, the pool ``0`` first, and
+    rejects any other count or an agent bundle that is not clean. It then
+    copies them once into ``clean``, a list of mutable sets that
+    ``augment`` changes in place; ``owner`` maps each good to the index of
+    the bundle holding it. A solver keeps one graph for a whole solve.
 
     ``dead`` holds goods from which no path reaches the pool ``clean[0]``:
     every good a failed ``shortest_path`` search reached. Everything a dead
     good reaches is dead too, so later searches skip these goods. The set
-    depends only on ``clean`` and ``owner``, so ``update``, the one place
+    depends only on ``clean`` and ``owner``, so ``augment``, the one place
     they change, clears it; provisional hand-outs leave both alone.
     """
 
     instance: Instance
-    clean: CleanBundles
+    clean: list[set[int]]
     owner: dict[int, int] = field(init=False)
     dead: set[int] = field(init=False)
 
     def __post_init__(self) -> None:
+        instance = self.instance
+        if len(self.clean) != instance.n + 1:
+            raise PreconditionError(f"expected {instance.n + 1} clean bundles")
+        for i in instance.agents:
+            if not instance.valuation(i).is_clean(self.clean[i]):
+                raise PreconditionError(f"bundle of agent {i} is not clean")
+        self.clean = [set(bundle) for bundle in self.clean]
+        self.owner = {g: idx for idx, bundle in enumerate(self.clean) for g in bundle}
         self.dead = set()
-        self.owner = {}
-        for idx, bundle in enumerate(self.clean):
-            for g in bundle:
-                self.owner[g] = idx
 
     def out_neighbors(self, g: int) -> list[int]:
         """Goods the owner of ``g`` would accept in exchange, ascending."""
@@ -77,19 +76,6 @@ class ExchangeGraph:
             return [h for h in range(self.instance.m) if h != g]
         matroid = self.instance.valuation(j).matroid
         return [h for h in matroid.extensions(bundle - {g}) if h not in bundle]
-
-    def update(self, clean: CleanBundles, path: Sequence[int], receiver: int) -> None:
-        """Move to ``clean``, the result of ``augment`` along ``path``.
-
-        Only the path's goods change owner: the first goes to ``receiver``
-        and each later one to the previous good's owner.
-        """
-        owner = self.owner
-        moved = [receiver] + [owner[g] for g in path[:-1]]
-        for g, idx in zip(path, moved):
-            owner[g] = idx
-        self.clean = clean
-        self.dead.clear()
 
     def edges(self) -> list[tuple[int, int]]:
         """Materialize every edge; intended for dumps and small instances."""
@@ -108,12 +94,6 @@ class ExchangeGraph:
             lines.append(f"  g{g} -> g{h};")
         lines.append("}")
         return "\n".join(lines)
-
-
-def build(instance: Instance, clean: CleanBundles) -> ExchangeGraph:
-    """Exchange graph for a clean allocation; rejects non-clean input."""
-    _check_clean(instance, clean)
-    return ExchangeGraph(instance, clean)
 
 
 def shortest_path(graph: ExchangeGraph, sources: Iterable[int]) -> tuple[int, ...] | None:
@@ -157,49 +137,39 @@ def shortest_path(graph: ExchangeGraph, sources: Iterable[int]) -> tuple[int, ..
     return None
 
 
-def augment(
-    instance: Instance,
-    clean: CleanBundles,
-    path: Sequence[int],
-    receiver: int,
-    owner: Mapping[int, int] | None = None,
-) -> CleanBundles:
-    """Shift goods along ``path`` and give its first good to ``receiver``.
+def augment(graph: ExchangeGraph, path: Sequence[int], receiver: int) -> None:
+    """Shift goods along ``path`` in place and give its first good to ``receiver``.
 
     Every owner of a path good swaps it for the next good on the path; the
     final good leaves its bundle entirely and the first good goes to the
-    receiver. ``owner`` maps goods to bundle indices, as ``ExchangeGraph``
-    keeps it; without it the map is built from ``clean``.
+    receiver. Only the path's goods move, in ``graph.clean`` and
+    ``graph.owner``, and ``graph.dead`` is cleared.
 
-    Only the bundles the path touches are copied and verified: the receiver
-    and the owners of path goods. On a shortest path each keeps its size,
-    except that the receiver grows by one and the last good's owner shrinks
-    by one, and each stays clean. Any breach raises
-    ``InternalInvariantError``, since it means the path was invalid. Every
-    other bundle is returned as the same object it was in ``clean``.
+    The agent bundles the path touches are then verified: on a shortest
+    path each keeps its size, except that the receiver grows by one and the
+    last good's owner shrinks by one, and each stays clean. Any breach
+    raises ``InternalInvariantError``, since it means the path was invalid;
+    the graph is then left as the path moved it.
     """
     if not path:
         raise PreconditionError("empty transfer path")
-    if owner is None:
-        owner = {g: idx for idx, bundle in enumerate(clean) for g in bundle}
+    clean, owner = graph.clean, graph.owner
     losers = [owner[g] for g in path]
     gainers = [receiver] + losers[:-1]
-    shifted = {idx: set(clean[idx]) for idx in (*losers, receiver)}
-    for g, idx in zip(path, losers):
-        shifted[idx].discard(g)
-    for g, idx in zip(path, gainers):
-        shifted[idx].add(g)
-    result = list(clean)
-    for idx, bundle in shifted.items():
-        result[idx] = frozenset(bundle)
+    sizes = {i: len(clean[i]) for i in (receiver, *losers) if i}
+    for g, loser, gainer in zip(path, losers, gainers):
+        clean[loser].discard(g)
+        clean[gainer].add(g)
+        owner[g] = gainer
+    graph.dead.clear()
 
-    for i in sorted(shifted.keys() - {0}):
-        expected = len(clean[i]) + (i == receiver) - (i == losers[-1])
-        if len(result[i]) != expected:
+    instance = graph.instance
+    for i in sorted(sizes):
+        expected = sizes[i] + (i == receiver) - (i == losers[-1])
+        if len(clean[i]) != expected:
             raise InternalInvariantError(
-                f"transfer path changed bundle {i} from {len(clean[i])} "
-                f"to {len(result[i])} goods"
+                f"transfer path changed bundle {i} from {sizes[i]} "
+                f"to {len(clean[i])} goods"
             )
-        if not instance.valuation(i).is_clean(result[i]):
+        if not instance.valuation(i).is_clean(clean[i]):
             raise InternalInvariantError(f"transfer path left bundle {i} unclean")
-    return tuple(result)

@@ -4,7 +4,8 @@ Instance files are versioned JSON. The value pair may be given directly as
 ``c`` or as original ``a``/``b`` values with ``a | b``; the latter are
 rescaled at parse time and the scale is carried through to outputs so
 reported utilities can be mapped back by multiplying with ``a``. Unknown
-fields are rejected everywhere so typos fail loudly.
+fields are rejected everywhere so typos fail loudly, and explicit rank
+tables are audited against the rank axioms at load.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .allocation import Allocation, Decomposition
-from .errors import ValidationError
+from .errors import MalformedMatroidError, ValidationError
 from .valuation import (
     BivaluedValuation,
     ExplicitMatroid,
@@ -26,6 +27,7 @@ from .valuation import (
     TransversalMatroid,
     UniformMatroid,
     rescale_pair,
+    validate_explicit,
 )
 
 INSTANCE_VERSION = 1
@@ -117,6 +119,19 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
     raise ValidationError(f"{where}: unknown matroid type {kind!r}")
 
 
+def _check_explicit(valuation: BivaluedValuation, goods: tuple[str, ...], where: str) -> None:
+    """Reject an explicit rank table that breaks a rank axiom, naming the first breach."""
+    violations = validate_explicit(valuation)
+    if violations:
+        v = violations[0]
+        subset = ",".join(goods[g] for g in v.subset)
+        extra = ",".join(goods[g] for g in v.goods)
+        raise MalformedMatroidError(
+            f"{where}: explicit rank table breaks {v.axiom} at subset "
+            f"{{{subset}}} with goods {{{extra}}}: {v.detail}"
+        )
+
+
 def parse_instance(data: dict) -> Instance:
     """Build a validated :class:`Instance` from decoded instance JSON."""
     _require_keys(
@@ -157,7 +172,10 @@ def parse_instance(data: dict) -> Instance:
         _require_keys(agent, {"name", "matroid"}, {"matroid"}, where)
         names.append(agent.get("name", f"agent{idx}"))
         matroid = _parse_matroid(agent["matroid"], len(goods), index, where)
-        valuations.append(BivaluedValuation(c, matroid))
+        valuation = BivaluedValuation(c, matroid)
+        if isinstance(matroid, ExplicitMatroid):
+            _check_explicit(valuation, goods, where)
+        valuations.append(valuation)
     return Instance(goods, c, tuple(valuations), tuple(names), scale)
 
 

@@ -15,9 +15,11 @@ tie-breaking is what makes the output canonical among all optimal
 allocations. The pools are ``(utility, index)`` heaps, and one solver state
 (utilities, pools, the exchange graph's clean bundles and owner map, the
 holders of provisional goods) is updated in place, not rebuilt every
-iteration. The graph also keeps the goods a failed path search proved
-unable to reach the pool, so the searches before the next transfer skip
-them; provisional hand-outs leave that record valid.
+iteration: a transfer moves only the path's goods between the graph's
+mutable bundles, and the bundles are frozen once, into the result. The
+graph also keeps the goods a failed path search proved unable to reach the
+pool, so the searches before the next transfer skip them; provisional
+hand-outs leave that record valid.
 
 A gain is a plain pair ``(escape, magnitude)`` ordered lexicographically
 by ``compare_gains``. The escape is the value added to an agent at zero
@@ -312,29 +314,24 @@ def _argmax_min_index(
     return i, criterion.gain(u, d)
 
 
-def _empty_clean(instance: Instance) -> tuple[frozenset[int], ...]:
-    return (frozenset(range(instance.m)),) + (frozenset(),) * instance.n
-
-
-def _transfer(graph: ExchangeGraph, path: tuple[int, ...], receiver: int) -> None:
-    """Augment the graph's allocation along ``path`` in favor of ``receiver``."""
-    clean = augment_path(graph.instance, graph.clean, path, receiver, graph.owner)
-    graph.update(clean, path, receiver)
+def _empty_graph(instance: Instance) -> ExchangeGraph:
+    """Exchange graph with every good in the pool."""
+    return ExchangeGraph(instance, [range(instance.m)] + [()] * instance.n)
 
 
 class _State:
     """The one mutable solver state, updated in place every iteration.
 
-    ``graph`` holds the clean bundles and their owner map. Provisional goods
-    stay in the pool bundle ``graph.clean[0]``; ``holder`` maps each to the
-    agent holding it. The free goods (in the pool, not provisional) only
-    ever shrink, so the lowest one is found by a pointer that never moves
-    back.
+    ``graph`` holds the clean bundles and their owner map; a transfer moves
+    the path's goods between those bundles in place. Provisional goods stay
+    in the pool bundle ``graph.clean[0]``; ``holder`` maps each to the agent
+    holding it. The free goods (in the pool, not provisional) only ever
+    shrink, so the lowest one is found by a pointer that never moves back.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.graph = ExchangeGraph(instance, _empty_clean(instance))
+        self.graph = _empty_graph(instance)
         self.supp: list[set[int]] = [set() for _ in range(instance.n + 1)]
         self.holder: dict[int, int] = {}
         self.utilities = [0] * instance.n
@@ -358,7 +355,7 @@ class _State:
         When the path ends at a provisional good, its holder is given the
         lowest free good in its place, and that good is returned.
         """
-        _transfer(self.graph, path, i)
+        augment_path(self.graph, path, i)
         u = self.utilities[i - 1] = self.utilities[i - 1] + self.instance.c
         heapq.heapreplace(self.in_play, (u, i))
         holder = self.holder.pop(path[-1], None)
@@ -467,7 +464,7 @@ def solve(
             state.check_invariants()
 
     supplementary = tuple(frozenset(b) for b in state.supp)
-    decomposition = Decomposition(graph.clean, supplementary)
+    decomposition = Decomposition(tuple(map(frozenset, graph.clean)), supplementary)
     allocation = decomposition.union()
     if sum(len(allocation.bundle(i)) for i in instance.agents) != instance.m:
         raise InternalInvariantError("solver left goods unallocated")
@@ -499,7 +496,7 @@ def utilitarian_optimal(instance: Instance) -> Allocation:
     transfer path from any agent reaches the pool, then hand the leftover
     (uniformly low-value) goods to agent 1.
     """
-    graph = ExchangeGraph(instance, _empty_clean(instance))
+    graph = _empty_graph(instance)
     progress = True
     while progress and graph.clean[0]:
         progress = False
@@ -508,9 +505,9 @@ def utilitarian_optimal(instance: Instance) -> Allocation:
                 break
             path = shortest_path(graph, f_set(instance, graph.clean, i))
             if path is not None:
-                _transfer(graph, path, i)
+                augment_path(graph, path, i)
                 progress = True
-    bundles = list(graph.clean)
-    bundles[1] = bundles[1] | bundles[0]
+    bundles = [frozenset(b) for b in graph.clean]
+    bundles[1] |= bundles[0]
     bundles[0] = frozenset()
     return Allocation(tuple(bundles))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import MalformedMatroidError, SizeLimitError, ValidationError
 
@@ -45,13 +45,14 @@ class Matroid:
             return False
         return self.rank(goods | {g}) > self.rank(goods)
 
-    def extensions(self, goods: GoodSet) -> list[int]:
+    def extensions(self, goods: AbstractSet[int]) -> list[int]:
         """Every good that ``can_extend`` ``goods``, in ascending order.
 
         Exchange-graph edges and transfer-path sources are read from this.
         Subclasses with a closed form override it; the default asks
-        ``can_extend`` about each good.
+        ``can_extend`` about each good, on one frozen copy of ``goods``.
         """
+        goods = _as_goodset(goods)
         return [h for h in range(self.m) if self.can_extend(goods, h)]
 
     def _check_ground(self, m: int) -> None:
@@ -78,7 +79,7 @@ class UniformMatroid(Matroid):
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         return g not in goods and len(goods) < self.cap
 
-    def extensions(self, goods: GoodSet) -> list[int]:
+    def extensions(self, goods: AbstractSet[int]) -> list[int]:
         if len(goods) >= self.cap:
             return []
         return [h for h in range(self.m) if h not in goods]
@@ -121,7 +122,7 @@ class PartitionMatroid(Matroid):
             return False
         return len(goods & self.parts[idx]) < self.caps[idx]
 
-    def extensions(self, goods: GoodSet) -> list[int]:
+    def extensions(self, goods: AbstractSet[int]) -> list[int]:
         """The goods outside ``goods`` of every part that still has room."""
         return sorted(
             g
@@ -148,7 +149,7 @@ class MarkedMatroid(Matroid):
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         return g not in goods and g in self.marked
 
-    def extensions(self, goods: GoodSet) -> list[int]:
+    def extensions(self, goods: AbstractSet[int]) -> list[int]:
         return sorted(self.marked - goods)
 
 
@@ -223,7 +224,8 @@ class ExplicitMatroid(Matroid):
     """Rank given by a complete table over all subsets of the ground set.
 
     The table is not trusted: use :func:`validate_explicit` to audit it
-    against the rank-function axioms before relying on it.
+    against the rank-function axioms before relying on it, as instance files
+    do at load.
     """
 
     m: int

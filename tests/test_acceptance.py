@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from bifair.allocation import Allocation, check_decomposition, decompose
 from bifair.audit import MNW_MMS_THRESHOLD, check_ef1, leximin_mms_threshold, mms
-from bifair.exchange import build, f_set, shortest_path
+from bifair.exchange import ExchangeGraph, f_set, shortest_path
 from bifair.exchange import augment as augment_path
 from bifair.io import random_instance
 from bifair.oracle import brute_force_optima, certify_dominating
@@ -250,7 +250,8 @@ def test_acceptance_6_structural_invariants():
         checks["decomposition"] += 1
 
     # Path augmentation: receiver up one, pool down one, cleanness kept
-    # (augment itself re-verifies bundle sizes and cleanness).
+    # (augment itself re-verifies bundle sizes and cleanness). Augment moves
+    # goods in place, so each agent gets a fresh graph.
     rng_p = random.Random("acceptance6:paths")
     attempts = 0
     while checks["augmentation"] < 10_000 and attempts < 60_000:
@@ -260,12 +261,13 @@ def test_acceptance_6_structural_invariants():
         clean = random_clean_allocation(instance, rng_p)
         if not clean[0]:
             continue
-        graph = build(instance, clean)
         for i in instance.agents:
+            graph = ExchangeGraph(instance, clean)
             path = shortest_path(graph, f_set(instance, clean, i))
             if path is None:
                 continue
-            result = augment_path(instance, clean, path, i)
+            augment_path(graph, path, i)
+            result = graph.clean
             assert len(result[i]) == len(clean[i]) + 1
             assert len(result[0]) == len(clean[0]) - 1
             checks["augmentation"] += 1

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bifair.errors import InternalInvariantError, PreconditionError
-from bifair.exchange import augment, build, f_set, shortest_path
+from bifair.exchange import ExchangeGraph, augment, f_set, shortest_path
 from bifair.io import random_instance
 from bifair.valuation import (
     BivaluedValuation,
@@ -55,7 +55,7 @@ class TestFSet:
 class TestBuild:
     def test_all_unallocated_is_complete_on_pool(self):
         instance = _instance(UniformMatroid(3, 1))
-        graph = build(instance, (frozenset(range(3)), frozenset()))
+        graph = ExchangeGraph(instance, (frozenset(range(3)), frozenset()))
         assert set(graph.edges()) == {
             (g, h) for g in range(3) for h in range(3) if g != h
         }
@@ -63,7 +63,7 @@ class TestBuild:
     def test_single_uniform_agent_edges(self):
         instance = _instance(UniformMatroid(4, 1))
         clean = (frozenset({0, 2, 3}), frozenset({1}))
-        graph = build(instance, clean)
+        graph = ExchangeGraph(instance, clean)
         assert graph.out_neighbors(1) == [0, 2, 3]
 
     def test_additive_agent_edges(self):
@@ -74,17 +74,17 @@ class TestBuild:
             c=5,
         )
         clean = (frozenset(range(1, 6)), frozenset(), frozenset({0}))
-        graph = build(instance, clean)
+        graph = ExchangeGraph(instance, clean)
         assert graph.out_neighbors(0) == [1, 2, 3, 4, 5]
 
     def test_rejects_unclean_allocation(self):
         instance = _instance(UniformMatroid(3, 1))
         with pytest.raises(PreconditionError):
-            build(instance, (frozenset({2}), frozenset({0, 1})))
+            ExchangeGraph(instance, (frozenset({2}), frozenset({0, 1})))
 
     def test_dot_dump(self):
         instance = _instance(UniformMatroid(2, 1))
-        graph = build(instance, (frozenset({1}), frozenset({0})))
+        graph = ExchangeGraph(instance, (frozenset({1}), frozenset({0})))
         dot = graph.to_dot()
         assert dot.startswith("digraph")
         assert "g0 -> g1" in dot
@@ -100,7 +100,7 @@ class TestClosedFormCandidates:
         for _ in range(60):
             instance = random_instance(family, rng.randint(1, 3), 6, 2, rng)
             clean = random_clean_allocation(instance, rng)
-            graph = build(instance, clean)
+            graph = ExchangeGraph(instance, clean)
             for i in instance.agents:
                 matroid = instance.valuation(i).matroid
                 bundle = clean[i]
@@ -126,14 +126,14 @@ class TestShortestPath:
     def test_source_already_a_target(self):
         instance = _instance(UniformMatroid(3, 2))
         clean = (frozenset({0, 1, 2}), frozenset())
-        graph = build(instance, clean)
+        graph = ExchangeGraph(instance, clean)
         path = shortest_path(graph, f_set(instance, clean, 1))
         assert path == (0,)
 
     def test_unreachable_returns_none(self):
         instance = _instance(MarkedMatroid(3, frozenset({0})))
         clean = (frozenset({1, 2}), frozenset({0}))
-        graph = build(instance, clean)
+        graph = ExchangeGraph(instance, clean)
         assert shortest_path(graph, f_set(instance, clean, 1)) is None
 
     def test_two_agent_steal_needs_two_hops(self):
@@ -143,7 +143,7 @@ class TestShortestPath:
         agent2 = PartitionMatroid(2, (frozenset({0, 1}),), (1,))
         instance = _instance(agent1, agent2)
         clean = (frozenset({1}), frozenset(), frozenset({0}))
-        graph = build(instance, clean)
+        graph = ExchangeGraph(instance, clean)
         path = shortest_path(graph, f_set(instance, clean, 1))
         assert path == (0, 1)
 
@@ -154,7 +154,7 @@ class TestShortestPath:
             family = FAMILIES[trial % len(FAMILIES)]
             instance = random_instance(family, rng.randint(1, 3), 6, 2, rng)
             clean = random_clean_allocation(instance, rng)
-            graph = build(instance, clean)
+            graph = ExchangeGraph(instance, clean)
             i = rng.choice(list(instance.agents))
             sources = f_set(instance, clean, i)
             path = shortest_path(graph, sources)
@@ -177,7 +177,7 @@ class TestShortestPath:
             family = FAMILIES[trial % len(FAMILIES)]
             instance = random_instance(family, rng.randint(2, 4), 7, 2, rng)
             clean = random_clean_allocation(instance, rng)
-            graph = build(instance, clean)
+            graph = ExchangeGraph(instance, clean)
             for _ in range(2):
                 found = None
                 for i in instance.agents:
@@ -196,7 +196,7 @@ class TestShortestPath:
                 if found is None:
                     break
                 path, i = found
-                graph.update(augment(instance, graph.clean, path, i, graph.owner), path, i)
+                augment(graph, path, i)
                 assert not graph.dead
         assert compared > 200 and failed > 100
 
@@ -204,18 +204,18 @@ class TestShortestPath:
 class TestAugment:
     def test_single_hop_from_pool(self):
         instance = _instance(UniformMatroid(3, 2))
-        clean = (frozenset({0, 1, 2}), frozenset())
-        result = augment(instance, clean, (0,), 1)
-        assert result == (frozenset({1, 2}), frozenset({0}))
+        graph = ExchangeGraph(instance, (frozenset({0, 1, 2}), frozenset()))
+        augment(graph, (0,), 1)
+        assert graph.clean == [{1, 2}, {0}]
 
     def test_two_hop_transfer_keeps_middle_owner_whole(self):
         agent1 = PartitionMatroid(2, (frozenset({0}),), (1,))
         agent2 = PartitionMatroid(2, (frozenset({0, 1}),), (1,))
         instance = _instance(agent1, agent2)
-        clean = (frozenset({1}), frozenset(), frozenset({0}))
-        result = augment(instance, clean, (0, 1), 1)
-        assert result == (frozenset(), frozenset({0}), frozenset({1}))
-        assert instance.valuation(2).rank(result[2]) == 1
+        graph = ExchangeGraph(instance, (frozenset({1}), frozenset(), frozenset({0})))
+        augment(graph, (0, 1), 1)
+        assert graph.clean == [set(), {0}, {1}]
+        assert instance.valuation(2).rank(graph.clean[2]) == 1
 
     def test_agent_total_grows_by_one(self):
         rng = random.Random(23)
@@ -227,11 +227,12 @@ class TestAugment:
             if not clean[0]:
                 continue
             i = rng.choice(list(instance.agents))
-            graph = build(instance, clean)
+            graph = ExchangeGraph(instance, clean)
             path = shortest_path(graph, f_set(instance, clean, i))
             if path is None:
                 continue
-            result = augment(instance, clean, path, i)
+            augment(graph, path, i)
+            result = graph.clean
             before = sum(len(clean[j]) for j in instance.agents)
             after = sum(len(result[j]) for j in instance.agents)
             assert after == before + 1
@@ -242,12 +243,40 @@ class TestAugment:
             grown += 1
         assert grown > 80
 
+    def test_transfer_moves_goods_in_place(self):
+        # Only the path's goods move: the pool and every bundle the path
+        # does not touch stay the same objects, and the owner map follows.
+        rng = random.Random(37)
+        moved = 0
+        for trial in range(200):
+            family = FAMILIES[trial % len(FAMILIES)]
+            instance = random_instance(family, rng.randint(2, 4), 8, 2, rng)
+            clean = random_clean_allocation(instance, rng)
+            graph = ExchangeGraph(instance, clean)
+            i = rng.choice(list(instance.agents))
+            path = shortest_path(graph, f_set(instance, clean, i))
+            if path is None:
+                continue
+            before = list(graph.clean)
+            touched = {i} | {graph.owner[g] for g in path}
+            augment(graph, path, i)
+            assert all(after is bundle for after, bundle in zip(graph.clean, before))
+            for idx in range(instance.n + 1):
+                if idx not in touched:
+                    assert graph.clean[idx] == clean[idx]
+            assert graph.owner == {
+                g: idx for idx, bundle in enumerate(graph.clean) for g in bundle
+            }
+            assert sorted(graph.owner) == list(range(instance.m))
+            moved += 1
+        assert moved > 80
+
     def test_invalid_path_raises(self):
         instance = _instance(MarkedMatroid(2, frozenset({0})))
-        clean = (frozenset({1}), frozenset({0}))
+        graph = ExchangeGraph(instance, (frozenset({1}), frozenset({0})))
         # Good 1 is worthless to agent 1, so handing it over breaks cleanness.
         with pytest.raises(InternalInvariantError):
-            augment(instance, clean, (1,), 1)
+            augment(graph, (1,), 1)
 
 
 class TestReachabilityCompleteness:
@@ -261,7 +290,7 @@ class TestReachabilityCompleteness:
             instance = random_instance(family, rng.randint(1, 3), 8, 2, rng)
             x = random_clean_allocation(instance, rng)
             y = random_clean_allocation(instance, rng)
-            graph = build(instance, x)
+            graph = ExchangeGraph(instance, x)
             for i in instance.agents:
                 if len(x[i]) >= len(y[i]):
                     continue

@@ -377,6 +377,26 @@ class TestInputContract:
             "agents": [{"matroid": {"type": "uniform", "cap": 1}}, {"matroid": matroid}],
         }, "error: agent 2: ")
 
+    @pytest.mark.parametrize("agents, prefix", [
+        pytest.param(
+            [{"matroid": {"type": "explicit",
+                          "rank": {"": 0, "x": 0, "y": 0, "x,y": 1}}}],
+            "error: agent 1: explicit rank table breaks submodularity at subset {} "
+            "with goods {x,y}: ",
+            id="not-submodular"),
+        pytest.param(
+            [{"matroid": {"type": "uniform", "cap": 1}},
+             {"matroid": {"type": "explicit",
+                          "rank": {"": 0, "x": 1, "y": 0, "x,y": 2}}}],
+            "error: agent 2: explicit rank table breaks submodularity at subset {} "
+            "with goods {x,y}: ",
+            id="marginal-of-two"),
+    ])
+    def test_explicit_table_breaking_an_axiom(self, tmp_path, capsys, agents, prefix):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": ["x", "y"], "agents": agents,
+        }, prefix)
+
     @pytest.mark.parametrize("goods", ["abc", [1, 2], None],
                              ids=["string", "ints", "null"])
     def test_goods_must_be_a_list_of_strings(self, tmp_path, capsys, goods):
@@ -424,8 +444,8 @@ class TestCriterionParameters:
         assert main(["oracle-check", "--count", "1", "--criteria", "pmean:x"]) == 2
         assert "pmean:x" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--max-n", "--max-m"])
-    @pytest.mark.parametrize("bound", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--count", "--max-n", "--max-m"])
+    @pytest.mark.parametrize("bound", ["0", "-1", "-3"])
     def test_oracle_check_rejects_an_empty_size_range(self, capsys, flag, bound):
         assert main(["oracle-check", "--count", "1", flag, bound]) == 2
         captured = capsys.readouterr()
