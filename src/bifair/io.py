@@ -47,7 +47,7 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValidationError(f"{where}: missing fields {sorted(missing)}")
 
 
-_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(value, kind: type, where: str, what: str):
@@ -105,11 +105,18 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
     if kind == "explicit":
         _require_keys(obj, {"type", "rank"}, {"rank"}, where)
         table: dict[frozenset[int], int] = {}
+        key_of: dict[frozenset[int], str] = {}
         for key, value in _typed(obj["rank"], dict, where, "rank").items():
             names = [part for part in key.split(",") if part]
-            table[_good_indices(names, index, where)] = _typed(
-                value, int, where, f"rank of {key!r}"
-            )
+            subset = _good_indices(names, index, where)
+            if len(subset) != len(names):
+                raise ValidationError(f"{where}: rank key {key!r} names a good twice")
+            if subset in key_of:
+                raise ValidationError(
+                    f"{where}: rank keys {key_of[subset]!r} and {key!r} name the same subset"
+                )
+            key_of[subset] = key
+            table[subset] = _typed(value, int, where, f"rank of {key!r}")
         matroid = ExplicitMatroid(m, table)
         if len(table) != 1 << m:
             raise ValidationError(
@@ -170,7 +177,7 @@ def parse_instance(data: dict) -> Instance:
     for idx, agent in enumerate(_typed(data["agents"], list, "instance", "agents"), start=1):
         where = f"agent {idx}"
         _require_keys(agent, {"name", "matroid"}, {"matroid"}, where)
-        names.append(agent.get("name", f"agent{idx}"))
+        names.append(_typed(agent.get("name", f"agent{idx}"), str, where, "name"))
         matroid = _parse_matroid(agent["matroid"], len(goods), index, where)
         valuation = BivaluedValuation(c, matroid)
         if isinstance(matroid, ExplicitMatroid):

@@ -13,7 +13,9 @@ dominated vector tie an optimum, but it is never an exact one.)
 
 The distinct utility vectors come from a DP over used-goods bitmasks, on
 per-agent bundle value tables: each agent in turn takes every subset of
-the goods still free, and the last agent takes the rest. Prefixes that
+the goods still free, and the last agent takes the rest. The tables come
+from each matroid's ``rank_table``, in closed form for every family but
+explicit, so a table costs no rank query per subset. Prefixes that
 reach the same used mask with the same utilities are merged, which is
 what saves work over walking every assignment. Its size limit counts its own
 steps: n * 2^m table entries plus one step per prefix per submask taken. It

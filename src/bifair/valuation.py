@@ -7,7 +7,10 @@ otherwise. The rank function counts the high-value goods in a bundle, which
 is exactly the structure the transfer-path solver manipulates.
 
 Goods are dense integer ids ``0..m-1``; display names live on the
-:class:`Instance`.
+:class:`Instance`. Exhaustive engines read a matroid's ``rank_table``: the
+rank of every subset, indexed by bitmask. Marked, uniform and partition
+matroids build it in closed form, one good at a time; transversal matroids
+by Hall's theorem over slot bitmasks; explicit tables by lookup.
 """
 
 from __future__ import annotations
@@ -34,6 +37,21 @@ class Matroid:
 
     def rank(self, goods: Iterable[int]) -> int:
         raise NotImplementedError
+
+    def rank_table(self) -> list[int]:
+        """Rank of every subset of ``0..m-1``, indexed by bitmask.
+
+        The table has 2^m entries; :func:`bundle_value_table` refuses past 20
+        goods. Subclasses with a closed form override this; the default asks
+        ``rank`` about each subset. Marked, uniform and partition matroids
+        extend the table one good at a time: the subsets holding good g are
+        the earlier masks plus g, and each ranks one more than its mask
+        exactly when g extends it.
+        """
+        return [
+            self.rank(frozenset(g for g in range(self.m) if mask >> g & 1))
+            for mask in range(1 << self.m)
+        ]
 
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         """Whether adding ``g`` raises the rank of ``goods`` by one.
@@ -76,6 +94,12 @@ class UniformMatroid(Matroid):
     def rank(self, goods: Iterable[int]) -> int:
         return min(len(_as_goodset(goods)), self.cap)
 
+    def rank_table(self) -> list[int]:
+        table, cap = [0], self.cap
+        for _ in range(self.m):
+            table += [r + (r < cap) for r in table]
+        return table
+
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         return g not in goods and len(goods) < self.cap
 
@@ -114,6 +138,18 @@ class PartitionMatroid(Matroid):
         return sum(min(len(goods & part), cap)
                    for part, cap in zip(self.parts, self.caps))
 
+    def rank_table(self) -> list[int]:
+        table = [0]
+        for g in range(self.m):
+            idx = self._part_of.get(g)
+            if idx is None:
+                table += table
+                continue
+            part, cap = sum(1 << h for h in self.parts[idx]), self.caps[idx]
+            table += [r + ((mask & part).bit_count() < cap)
+                      for mask, r in enumerate(table)]
+        return table
+
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         if g in goods:
             return False
@@ -146,6 +182,12 @@ class MarkedMatroid(Matroid):
     def rank(self, goods: Iterable[int]) -> int:
         return len(_as_goodset(goods) & self.marked)
 
+    def rank_table(self) -> list[int]:
+        table = [0]
+        for g in range(self.m):
+            table += [r + 1 for r in table] if g in self.marked else table
+        return table
+
     def can_extend(self, goods: GoodSet, g: int) -> bool:
         return g not in goods and g in self.marked
 
@@ -160,6 +202,7 @@ class TransversalMatroid(Matroid):
     ``adjacency[g]`` lists the slots good ``g`` may occupy. Rank queries run
     an augmenting-path matching and are memoized per bundle; the cache is only
     ever extended with recomputable values, so concurrent readers are safe.
+    ``rank_table`` runs no matching and leaves the cache alone.
     """
 
     m: int
@@ -217,6 +260,34 @@ class TransversalMatroid(Matroid):
             cached = len(self._matching(sorted(goods)))
             self._cache[goods] = cached
         return cached
+
+    def rank_table(self) -> list[int]:
+        """Hall's theorem as a DP over masks, on slot bitmasks.
+
+        A set is independent iff every one-smaller subset is and its goods
+        reach at least as many slots as there are goods. A dependent set
+        ranks as the best of its one-smaller subsets.
+        """
+        adjacent = [sum(1 << s for s in slots) for slots in self.adjacency]
+        reach = [0] * (1 << self.m)
+        table = [0] * (1 << self.m)
+        for mask in range(1, 1 << self.m):
+            low = mask & -mask
+            rest = mask ^ low
+            reach[mask] = reach[rest] | adjacent[low.bit_length() - 1]
+            least = most = table[rest]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                r = table[mask ^ bit]
+                if r < least:
+                    least = r
+                elif r > most:
+                    most = r
+            size = mask.bit_count()
+            independent = least == size - 1 and reach[mask].bit_count() >= size
+            table[mask] = size if independent else most
+        return table
 
 
 @dataclass(frozen=True)
@@ -347,9 +418,11 @@ def rescale_pair(a: int, b: int) -> int:
     """Collapse an ``(a, b)`` value pair to the canonical ``c = b / a``.
 
     Only divisible pairs are supported; for coprime pairs the underlying
-    optimization problems are NP-hard, so they are rejected outright.
+    optimization problems are NP-hard, so they are rejected outright. A bool
+    is not an integer here.
     """
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b <= a:
+    integers = all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b))
+    if not integers or a < 1 or b <= a:
         raise ValidationError(f"need integers 0 < a < b, got a={a!r}, b={b!r}")
     if b % a != 0:
         raise ValidationError(
@@ -444,12 +517,14 @@ def bundle_value_table(valuation: BivaluedValuation, m: int) -> list[int]:
     """Value of every subset of ``0..m-1``, indexed by bitmask.
 
     Exhaustive-search helpers use this to turn repeated rank queries into
-    array lookups. Only sensible for small ``m``.
+    array lookups. It reads the matroid's ``rank_table``, so no family but
+    explicit builds a bundle or asks ``rank`` per mask. ``m`` is the
+    matroid's ground-set size; only sensible when it is small.
     """
     if m > EXPLICIT_TABLE_MAX_GOODS:
         raise SizeLimitError("value tables support at most 20 goods")
-    table = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        goods = frozenset(g for g in range(m) if mask >> g & 1)
-        table[mask] = valuation.value(goods)
-    return table
+    high = valuation.c - 1
+    return [
+        mask.bit_count() + high * rank
+        for mask, rank in enumerate(valuation.matroid.rank_table())
+    ]

@@ -397,6 +397,33 @@ class TestInputContract:
             "version": 1, "c": 3, "goods": ["x", "y"], "agents": agents,
         }, prefix)
 
+    @pytest.mark.parametrize("rank, prefix", [
+        pytest.param({"": 0, "x": 0, "x,x": 1},
+                     "error: agent 1: rank key 'x,x' names a good twice", id="good-twice"),
+        pytest.param({"": 0, "x": 1, "x,": 0},
+                     "error: agent 1: rank keys 'x' and 'x,' name the same subset",
+                     id="same-subset"),
+    ])
+    def test_explicit_keys_never_overwrite(self, tmp_path, capsys, rank, prefix):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": ["x"],
+            "agents": [{"matroid": {"type": "explicit", "rank": rank}}],
+        }, prefix)
+
+    @pytest.mark.parametrize("name", [5, [1], None], ids=["int", "list", "null"])
+    def test_agent_name_must_be_a_string(self, tmp_path, capsys, name):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": ["x"],
+            "agents": [{"name": name, "matroid": {"type": "marked", "marked": ["x"]}}],
+        }, "error: agent 1: name must be a string")
+
+    @pytest.mark.parametrize("a, b", [(True, 2), (1, True)], ids=["a", "b"])
+    def test_value_pair_bool_rejected(self, tmp_path, capsys, a, b):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "a": a, "b": b, "goods": ["x"],
+            "agents": [{"matroid": {"type": "marked", "marked": ["x"]}}],
+        }, "error: need integers 0 < a < b")
+
     @pytest.mark.parametrize("goods", ["abc", [1, 2], None],
                              ids=["string", "ints", "null"])
     def test_goods_must_be_a_list_of_strings(self, tmp_path, capsys, goods):

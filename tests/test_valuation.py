@@ -323,12 +323,85 @@ class TestInstanceValidation:
             Instance(("a", "a"), 2, (v1,))
 
 
+def _subsets(m: int):
+    return [frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m)]
+
+
+def _table_matroid(family: str, m: int, rng: random.Random):
+    """A random matroid that reaches the closed forms' edge cases: uniform
+    caps of 0 and past m, partition parts that are empty or capped at 0 and
+    goods in no part, transversal goods with no slot and no slots at all."""
+    if family == "marked":
+        return MarkedMatroid(m, frozenset(g for g in range(m) if rng.random() < 0.5))
+    if family == "uniform":
+        return UniformMatroid(m, rng.randint(0, m + 2))
+    if family == "partition":
+        labels = [rng.randint(0, 3) for _ in range(m)]  # label 3: in no part
+        parts = tuple(frozenset(g for g in range(m) if labels[g] == p) for p in range(3))
+        return PartitionMatroid(m, parts, tuple(rng.randint(0, len(p)) for p in parts))
+    if family == "transversal":
+        slots = rng.randint(0, m)
+        return TransversalMatroid(m, slots, tuple(
+            frozenset(s for s in range(slots) if rng.random() < 0.4) for _ in range(m)
+        ))
+    base = _table_matroid(rng.choice(FAMILIES), m, rng)
+    return ExplicitMatroid(m, {s: base.rank(s) for s in _subsets(m)})
+
+
 def test_bundle_value_table_matches_direct():
-    val = BivaluedValuation(3, MarkedMatroid(4, frozenset({0, 2})))
-    table = bundle_value_table(val, 4)
-    for mask in range(16):
-        subset = frozenset(g for g in range(4) if mask >> g & 1)
-        assert table[mask] == val.value(subset)
+    rng = random.Random("tables")
+    for family in FAMILIES + ("explicit",):
+        for m in range(10):
+            for _ in range(6):
+                matroid = _table_matroid(family, m, rng)
+                val = BivaluedValuation(rng.randint(2, 5), matroid)
+                subsets = _subsets(m)
+                assert matroid.rank_table() == [matroid.rank(s) for s in subsets]
+                assert bundle_value_table(val, m) == [val.value(s) for s in subsets]
+
+
+class TestValueTables:
+    """Closed-form rank tables on the cases a closed form gets wrong first."""
+
+    @pytest.mark.parametrize("matroid", [
+        pytest.param(UniformMatroid(4, 0), id="uniform-cap-0"),
+        pytest.param(UniformMatroid(3, 7), id="uniform-cap-past-m"),
+        pytest.param(PartitionMatroid(5, (frozenset({0, 1}), frozenset({3})), (0, 1)),
+                     id="partition-cap-0-and-uncovered"),
+        pytest.param(TransversalMatroid(3, 2, (frozenset(), frozenset({1}), frozenset())),
+                     id="transversal-goods-without-slots"),
+        pytest.param(TransversalMatroid(3, 0, (frozenset(),) * 3), id="transversal-no-slots"),
+    ])
+    def test_edge_cases(self, matroid):
+        assert matroid.rank_table() == [brute_rank(matroid, s) for s in _subsets(matroid.m)]
+
+    @pytest.mark.parametrize("matroid", [
+        MarkedMatroid(0, frozenset()),
+        UniformMatroid(0, 1),
+        PartitionMatroid(0, (), ()),
+        TransversalMatroid(0, 2, ()),
+        ExplicitMatroid(0, {frozenset(): 0}),
+    ], ids=lambda matroid: type(matroid).__name__)
+    def test_no_goods(self, matroid):
+        assert matroid.rank_table() == [0]
+        assert bundle_value_table(BivaluedValuation(3, matroid), 0) == [0]
+
+    def test_hall_condition_on_every_subset(self):
+        # a and b reach only slot 0, c reaches slots 1 and 2: {a, b, c} reaches
+        # three slots, yet {a, b} reaches one, so the rank is 2, not 3.
+        matroid = TransversalMatroid(3, 3, (frozenset({0}), frozenset({0}), frozenset({1, 2})))
+        table = matroid.rank_table()
+        assert table[0b111] == 2
+        assert table == [brute_rank(matroid, s) for s in _subsets(3)]
+
+    def test_transversal_table_leaves_cache_empty(self):
+        matroid = _table_matroid("transversal", 8, random.Random(4))
+        matroid.rank_table()
+        assert matroid._cache == {}
+
+    def test_more_than_twenty_goods_refused(self):
+        with pytest.raises(SizeLimitError):
+            bundle_value_table(BivaluedValuation(3, UniformMatroid(21, 2)), 21)
 
 
 def test_transversal_chain_ranks_without_recursion():
