@@ -50,12 +50,6 @@ class Allocation:
             raise ValidationError("bundles must partition the goods")
         return Allocation(frozen)
 
-    @staticmethod
-    def empty(instance: Instance) -> "Allocation":
-        """All goods unallocated."""
-        pool = frozenset(range(instance.m))
-        return Allocation((pool,) + (frozenset(),) * instance.n)
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -1,9 +1,9 @@
 """Fairness and efficiency audits for complete allocations.
 
 Everything here treats the allocation as given: envy checks up to one/any
-good, welfare measures, and exact maximin-share values by exhaustive
-partition enumeration that stops at a proven ceiling (desk scale only,
-never silently approximated).
+good, welfare measures, and exact maximin-share values by a max-min DP over
+subset bitmasks, bounded by its own step count (desk scale only, never
+silently approximated).
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .allocation import Allocation, utility_vector
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError
+from .oracle import _check_cap
 from .solver import log_power_sum
 from .valuation import Instance, bundle_value_table
-
-MMS_MAX_AGENTS = 4
-MMS_MAX_GOODS = 12
 
 MNW_MMS_THRESHOLD = Fraction(2, 5)
 
@@ -88,53 +86,51 @@ def pmean_welfare(instance: Instance, allocation: Allocation, p: float) -> float
     return math.exp((log_power_sum(utilities, p) - math.log(instance.n)) / p)
 
 
+def _best_split(s: int, values: list[int], shares: list[int]) -> int:
+    """Max of min(values[T], shares[s - T]) over the submasks T of s that hold
+    s's lowest good; skips T whose own value cannot beat the best so far."""
+    low = s & -s
+    others = s ^ low
+    best = 0
+    t = others
+    while True:
+        own = values[t | low]
+        if own > best:
+            left = shares[others ^ t]
+            if left > best:
+                best = own if own < left else left
+        if not t:
+            return best
+        t = (t - 1) & others
+
+
 def mms(instance: Instance, i: int) -> int:
-    """Exact maximin share of agent i by exhaustive partition enumeration.
+    """Exact maximin share of agent i by a max-min DP over subset bitmasks.
 
     The value the agent locks in by splitting all goods into n bundles and
-    receiving the worst one. Unordered partitions suffice because only the
-    agent's own valuation is applied, and partitions with fewer than n
-    nonempty blocks leave some bundle empty and score zero, so the search
-    walks restricted growth strings (good 0 in block 0, each later good
-    joining an existing block or opening the next) pruned to exactly n
-    blocks. A bundle is worth at most the sum of its goods' singleton
-    values, so the worst of n bundles is worth at most the floor of the
-    singleton total over n; the search stops once it reaches that ceiling.
+    receiving the worst one. Only the agent's own valuation applies, so on
+    its bundle value table let f_1(S) = v_i(S) and, for k >= 2, f_k(S) be
+    the best over bundles T of S holding S's lowest good of
+    min(v_i(T), f_{k-1}(S - T)); the share is f_n(all goods). Each of the
+    n - 2 middle layers visits half of the 3^m (subset, submask) pairs and
+    the last needs only the full mask, so the DP takes
+    (n - 2)(3^m - 1)/2 + 2^(m-1) steps. Over the oracle's enumeration cap it
+    refuses before building the table.
     """
-    if instance.n > MMS_MAX_AGENTS or instance.m > MMS_MAX_GOODS:
-        raise SizeLimitError(
-            f"exact maximin shares are limited to n <= {MMS_MAX_AGENTS} and "
-            f"m <= {MMS_MAX_GOODS}; got n={instance.n}, m={instance.m}"
-        )
     if i not in instance.agents:
         raise ValidationError(f"no agent {i}")
     n, m = instance.n, instance.m
     if m < n:
         return 0
+    if n == 1:
+        return instance.value(i, frozenset(range(m)))
+    _check_cap((n - 2) * (3**m - 1) // 2 + 2 ** (m - 1), "maximin-share DP steps")
     values = bundle_value_table(instance.valuation(i), m)
-    ceiling = sum(values[1 << g] for g in range(m)) // n
-    masks = [0] * n
-    best = 0
-
-    def rec(pos: int, used: int) -> bool:
-        """Extend the partition from good ``pos``; True once at the ceiling."""
-        nonlocal best
-        if used + (m - pos) < n:
-            return False
-        if pos == m:
-            best = max(best, min(values[mask] for mask in masks))
-            return best >= ceiling
-        bit = 1 << pos
-        for blk in range(min(used + 1, n)):
-            masks[blk] |= bit
-            done = rec(pos + 1, used + 1 if blk == used else used)
-            masks[blk] &= ~bit
-            if done:
-                return True
-        return False
-
-    rec(0, 0)
-    return best
+    full = len(values) - 1
+    shares = values
+    for _ in range(n - 2):
+        shares = [0] + [_best_split(s, values, shares) for s in range(1, full + 1)]
+    return _best_split(full, values, shares)
 
 
 @dataclass(frozen=True)
@@ -256,8 +252,8 @@ def audit_allocation(
 ) -> AuditReport:
     """Run every auditor and assemble the report.
 
-    Maximin shares are only computed on request since they enumerate all
-    partitions; a size overrun raises rather than silently skipping.
+    Maximin shares are only computed on request since their DP grows as
+    3^m per agent; a size overrun raises rather than silently skipping.
     """
     ef1_ok, ef1_witness = check_ef1(instance, allocation)
     efx_ok, efx_witness = check_efx(instance, allocation)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 broken internal invariant or failed oracle check,
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -39,14 +38,6 @@ def _write_file(text: str, path: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def _load(loader, path: str, *args):
-    """Call a ``bio`` file loader; an unreadable or non-JSON file is bad input."""
-    try:
-        return loader(path, *args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
 def _criterion_token(token: str) -> Criterion:
     if token.startswith("pmean:"):
         try:
@@ -58,7 +49,7 @@ def _criterion_token(token: str) -> Criterion:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load(bio.load_instance, args.instance)
+    instance = bio.load_instance(args.instance)
     criterion = make_criterion(args.criterion, p=args.p)
     result = solve(instance, criterion)
     payload = bio.emit_allocation(
@@ -74,8 +65,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    instance = _load(bio.load_instance, args.instance)
-    allocation = _load(bio.load_allocation, args.allocation, instance)
+    instance = bio.load_instance(args.instance)
+    allocation = bio.load_allocation(args.allocation, instance)
     report = audit_allocation(
         instance,
         allocation,

@@ -297,14 +297,26 @@ def parse_allocation(data: dict, instance: Instance) -> Allocation:
     return Allocation.from_bundles(instance, bundles)
 
 
+def _read_json(path: str | Path):
+    """Decode a JSON file; one that cannot be read or decoded is bad input.
+
+    ``ValueError`` covers text that is not UTF-8 or not JSON and integers
+    past Python's digit limit; ``RecursionError`` covers nesting past the
+    decoder's depth.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def load_instance(path: str | Path) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(json.load(handle))
+    return parse_instance(_read_json(path))
 
 
 def load_allocation(path: str | Path, instance: Instance) -> Allocation:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_allocation(json.load(handle), instance)
+    return parse_allocation(_read_json(path), instance)
 
 
 def dumps_canonical(data: dict) -> str:

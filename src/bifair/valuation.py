@@ -266,9 +266,11 @@ class TransversalMatroid(Matroid):
 
         A set is independent iff every one-smaller subset is and its goods
         reach at least as many slots as there are goods. A dependent set
-        ranks as the best of its one-smaller subsets.
+        ranks as the best of its one-smaller subsets. Only slot counts
+        matter, so the slots some good reaches get dense bit positions.
         """
-        adjacent = [sum(1 << s for s in slots) for slots in self.adjacency]
+        bit = {s: 1 << k for k, s in enumerate(set().union(*self.adjacency))}
+        adjacent = [sum(bit[s] for s in slots) for slots in self.adjacency]
         reach = [0] * (1 << self.m)
         table = [0] * (1 << self.m)
         for mask in range(1, 1 << self.m):

@@ -51,7 +51,7 @@ class TestDecompose:
 
     def test_empty_allocation(self):
         instance = _mixed_value_instance()
-        dec = decompose(instance, Allocation.empty(instance))
+        dec = decompose(instance, Allocation.from_bundles(instance, [range(4), (), ()]))
         assert all(not dec.clean[i] for i in instance.agents)
         assert all(not s for s in dec.supplementary)
         assert dec.clean[0] == frozenset(range(4))
@@ -86,8 +86,8 @@ class TestUtilityVectors:
         assert utility_vector(worked_example, mnw) == (3, 15)
 
     def test_empty_allocation_is_all_zeros(self, worked_example):
-        empty = Allocation.empty(worked_example)
-        assert utility_vector(worked_example, empty) == (0, 0)
+        pool = Allocation.from_bundles(worked_example, [range(6), (), ()])
+        assert utility_vector(worked_example, pool) == (0, 0)
 
 
 class TestCompareLex:

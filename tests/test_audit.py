@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from bifair.audit import (
 )
 from bifair.errors import SizeLimitError, ValidationError
 from bifair.io import random_instance
+from bifair.oracle import ENUMERATION_CAP
 from bifair.solver import Leximin, MaxNashWelfare, solve
 from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid
 from conftest import capped_vs_additive_instance, two_agent_instance
@@ -92,16 +94,17 @@ class TestWelfareMeasures:
         assert nash_welfare(worked_example, result.allocation) == (2, 45)
 
     def test_empty_allocation_nash(self, worked_example):
-        empty = Allocation.empty(worked_example)
-        assert nash_welfare(worked_example, empty) == (0, 1)
+        pool = Allocation.from_bundles(worked_example, [range(6), (), ()])
+        assert nash_welfare(worked_example, pool) == (0, 1)
 
     def test_pmean_at_one_is_the_mean(self, worked_example):
         result = solve(worked_example, MaxNashWelfare())
         assert pmean_welfare(worked_example, result.allocation, 1) == pytest.approx(9.0)
 
     def test_pmean_rejects_zero(self, worked_example):
+        pool = Allocation.from_bundles(worked_example, [range(6), (), ()])
         with pytest.raises(ValidationError):
-            pmean_welfare(worked_example, Allocation.empty(worked_example), 0)
+            pmean_welfare(worked_example, pool, 0)
 
     def test_usw(self, worked_example):
         result = solve(worked_example, MaxNashWelfare())
@@ -112,10 +115,10 @@ def _brute_mms(instance: Instance, agent: int) -> int:
     """Second, independent enumeration: label every good with a bundle index."""
     n, m = instance.n, instance.m
     best = 0
-    valuation = instance.valuation(agent)
+    value = functools.cache(instance.valuation(agent).value)
     for labels in itertools.product(range(n), repeat=m):
         bundles = [frozenset(g for g in range(m) if labels[g] == b) for b in range(n)]
-        worst = min(valuation.value(b) for b in bundles)
+        worst = min(value(b) for b in bundles)
         if worst > best:
             best = worst
     return best
@@ -141,9 +144,17 @@ class TestMms:
             for i in instance.agents:
                 assert mms(instance, i) == _brute_mms(instance, i)
 
-    def test_ceiling_stop_matches_independent_enumeration(self):
-        # The search stops once a split reaches floor(singleton total / n);
-        # cover agents whose share reaches that ceiling and agents below it.
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_five_agents_match_independent_enumeration(self, m):
+        rng = random.Random(71 + m)
+        for family in ("marked", "uniform", "partition", "transversal"):
+            instance = random_instance(family, 5, m, rng.choice([2, 3]), rng)
+            for i in instance.agents:
+                assert mms(instance, i) == _brute_mms(instance, i), (family, i)
+
+    def test_shares_at_and_below_singleton_ceiling(self):
+        # A share never exceeds floor(singleton total / n); the inputs hold
+        # agents whose share reaches that ceiling and agents below it.
         rng = random.Random(67)
         at_ceiling = below = 0
         for n, m in ((2, 8), (3, 7), (4, 6)):
@@ -159,12 +170,12 @@ class TestMms:
         assert at_ceiling and below
 
     def test_size_limits(self):
-        too_many_agents = _identical_additive_instance(2, 4, 5)
-        with pytest.raises(SizeLimitError):
-            mms(too_many_agents, 1)
-        too_many_goods = _identical_additive_instance(2, 13, 2)
-        with pytest.raises(SizeLimitError):
-            mms(too_many_goods, 1)
+        # The DP takes (n - 2)(3^m - 1)/2 + 2^(m-1) steps against the
+        # oracle's enumeration cap.
+        assert mms(_identical_additive_instance(2, 5, 5), 1) == 2
+        assert mms(_identical_additive_instance(2, 14, 3), 1) == 8
+        with pytest.raises(SizeLimitError, match=str(ENUMERATION_CAP)):
+            mms(_identical_additive_instance(2, 16, 3), 1)
 
     def test_unknown_agent(self):
         instance = _identical_additive_instance(2, 3, 2)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bifair.allocation import Allocation
 from bifair.cli import main
@@ -284,14 +287,21 @@ class TestCli:
         assert "0 mismatches" in capsys.readouterr().out
 
     def test_audit_size_limit_surfaces(self, tmp_path, capsys):
+        # Five agents run; n = 3, m = 16 is over the DP's step cap.
         inst = tmp_path / "inst.json"
         alloc = tmp_path / "alloc.json"
-        main(["gen", "--family", "marked", "--n", "2", "--m", "13",
+        main(["gen", "--family", "partition", "--n", "5", "--m", "8",
+              "--c", "2", "--seed", "1", "-o", str(inst)])
+        main(["solve", str(inst), "-o", str(alloc)])
+        capsys.readouterr()
+        assert main(["audit", str(inst), str(alloc), "--mms", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["mms"]) == 5
+        main(["gen", "--family", "marked", "--n", "3", "--m", "16",
               "--c", "2", "--seed", "1", "-o", str(inst)])
         main(["solve", str(inst), "-o", str(alloc)])
         capsys.readouterr()
         assert main(["audit", str(inst), str(alloc), "--mms"]) == 2
-        assert "limited" in capsys.readouterr().err
+        assert "10000000 enumeration cap" in capsys.readouterr().err
 
 
 class TestUnreadableFiles:
@@ -319,6 +329,21 @@ class TestUnreadableFiles:
             capsys.readouterr()
             assert main(["audit", str(pair[0]), str(pair[1])]) == 2
             assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100_000, id="nested-past-decoder-depth"),
+        pytest.param('{"version": 1, "c": ' + "9" * 5000 + "}", id="int-past-digit-limit"),
+    ])
+    def test_json_python_cannot_decode(self, files, capsys, text):
+        inst, alloc, _, _ = files
+        bad = inst.parent / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        for argv in (["solve", str(bad)], ["audit", str(bad), str(alloc)],
+                     ["audit", str(inst), str(bad)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")
 
 
 class TestUnwritableOutputs:
@@ -491,3 +516,79 @@ class TestCriterionParameters:
         report = json.loads(capsys.readouterr().out)
         assert report["utilities"] == [24, 12]
         assert report["pmean"]["-300.0"] == pytest.approx(12 * 2 ** (1 / 300), rel=1e-12)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+_VALID_INSTANCE = {
+    "version": 1, "c": 3, "goods": ["x", "y", "z"],
+    "agents": [
+        {"name": "m", "matroid": {"type": "marked", "marked": ["x"]}},
+        {"matroid": {"type": "uniform", "cap": 1}},
+        {"matroid": {"type": "partition", "parts": [["x", "y"], ["z"]], "caps": [1, 1]}},
+        {"matroid": {"type": "transversal", "slots": 2, "edges": {"x": [0], "y": [0, 1]}}},
+        {"matroid": {"type": "explicit", "rank": {
+            "": 0, "x": 1, "y": 1, "z": 1, "x,y": 2, "x,z": 2, "y,z": 2, "x,y,z": 2,
+        }}},
+    ],
+}
+_VALID_ALLOCATION = {"version": 1, "unallocated": ["z"], "bundles": [["x"], ["y"], [], [], []]}
+
+
+def _json_paths(value, path=()):
+    """Every path from the root of a decoded JSON value to a node in it."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one to three nodes deleted or replaced by arbitrary JSON."""
+    data = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        if not path:
+            data = draw(_JSON)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON)
+    return data
+
+
+class TestFuzzedInputs:
+    """Whatever JSON an input file holds, solve and audit exit 0 or 2."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance=_JSON | _mutated(_VALID_INSTANCE),
+           allocation=_JSON | _mutated(_VALID_ALLOCATION))
+    def test_exit_code_is_zero_or_two(self, tmp_path, capsys, instance, allocation):
+        files = {}
+        for name, data in (("inst", _VALID_INSTANCE), ("alloc", _VALID_ALLOCATION),
+                           ("fuzzed-inst", instance), ("fuzzed-alloc", allocation)):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(data), encoding="utf-8")
+        for argv in (
+            ["solve", files["fuzzed-inst"]],
+            ["audit", files["fuzzed-inst"], files["alloc"], "--mms"],
+            ["audit", files["inst"], files["fuzzed-alloc"], "--mms"],
+        ):
+            assert main([str(arg) for arg in argv]) in (0, 2), argv
+        capsys.readouterr()

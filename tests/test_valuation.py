@@ -394,6 +394,14 @@ class TestValueTables:
         assert table[0b111] == 2
         assert table == [brute_rank(matroid, s) for s in _subsets(3)]
 
+    def test_far_apart_slot_ids_rank_as_consecutive_ones(self):
+        far = 10**7
+        sparse = TransversalMatroid(
+            3, far, (frozenset({0, far - 1}),) + (frozenset({far - 1}),) * 2
+        )
+        dense = TransversalMatroid(3, 2, (frozenset({0, 1}),) + (frozenset({1}),) * 2)
+        assert sparse.rank_table() == [brute_rank(dense, s) for s in _subsets(3)]
+
     def test_transversal_table_leaves_cache_empty(self):
         matroid = _table_matroid("transversal", 8, random.Random(4))
         matroid.rank_table()
