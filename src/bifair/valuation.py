@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable
 
 from .errors import MalformedMatroidError, SizeLimitError, ValidationError
 
@@ -26,16 +26,12 @@ GoodSet = frozenset[int]
 EXPLICIT_TABLE_MAX_GOODS = 20
 
 
-def _as_goodset(goods: Iterable[int]) -> GoodSet:
-    return goods if isinstance(goods, frozenset) else frozenset(goods)
-
-
 class Matroid:
     """A matroid over goods ``0..m-1``, exposed through its rank function."""
 
     m: int
 
-    def rank(self, goods: Iterable[int]) -> int:
+    def rank(self, goods: AbstractSet[int]) -> int:
         raise NotImplementedError
 
     def rank_table(self) -> list[int]:
@@ -53,7 +49,7 @@ class Matroid:
             for mask in range(1 << self.m)
         ]
 
-    def can_extend(self, goods: GoodSet, g: int) -> bool:
+    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
         """Whether adding ``g`` raises the rank of ``goods`` by one.
 
         Returns False when ``g`` is already in the set. Subclasses override
@@ -67,10 +63,8 @@ class Matroid:
         """Every good that ``can_extend`` ``goods``, in ascending order.
 
         Exchange-graph edges and transfer-path sources are read from this.
-        Subclasses with a closed form override it; the default asks
-        ``can_extend`` about each good, on one frozen copy of ``goods``.
+        The default asks ``can_extend`` about each good.
         """
-        goods = _as_goodset(goods)
         return [h for h in range(self.m) if self.can_extend(goods, h)]
 
     def _check_ground(self, m: int) -> None:
@@ -91,8 +85,8 @@ class UniformMatroid(Matroid):
         if self.cap < 0:
             raise ValidationError("uniform matroid cap must be non-negative")
 
-    def rank(self, goods: Iterable[int]) -> int:
-        return min(len(_as_goodset(goods)), self.cap)
+    def rank(self, goods: AbstractSet[int]) -> int:
+        return min(len(goods), self.cap)
 
     def rank_table(self) -> list[int]:
         table, cap = [0], self.cap
@@ -100,7 +94,7 @@ class UniformMatroid(Matroid):
             table += [r + (r < cap) for r in table]
         return table
 
-    def can_extend(self, goods: GoodSet, g: int) -> bool:
+    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
         return g not in goods and len(goods) < self.cap
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
@@ -133,9 +127,8 @@ class PartitionMatroid(Matroid):
                 part_of[g] = idx
         object.__setattr__(self, "_part_of", part_of)
 
-    def rank(self, goods: Iterable[int]) -> int:
-        goods = _as_goodset(goods)
-        return sum(min(len(goods & part), cap)
+    def rank(self, goods: AbstractSet[int]) -> int:
+        return sum(min(len(part.intersection(goods)), cap)
                    for part, cap in zip(self.parts, self.caps))
 
     def rank_table(self) -> list[int]:
@@ -150,7 +143,7 @@ class PartitionMatroid(Matroid):
                       for mask, r in enumerate(table)]
         return table
 
-    def can_extend(self, goods: GoodSet, g: int) -> bool:
+    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
         if g in goods:
             return False
         idx = self._part_of.get(g)
@@ -179,8 +172,8 @@ class MarkedMatroid(Matroid):
         if any(not 0 <= g < self.m for g in self.marked):
             raise ValidationError("marked good outside ground set")
 
-    def rank(self, goods: Iterable[int]) -> int:
-        return len(_as_goodset(goods) & self.marked)
+    def rank(self, goods: AbstractSet[int]) -> int:
+        return len(self.marked.intersection(goods))
 
     def rank_table(self) -> list[int]:
         table = [0]
@@ -188,7 +181,7 @@ class MarkedMatroid(Matroid):
             table += [r + 1 for r in table] if g in self.marked else table
         return table
 
-    def can_extend(self, goods: GoodSet, g: int) -> bool:
+    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
         return g not in goods and g in self.marked
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
@@ -199,18 +192,12 @@ class MarkedMatroid(Matroid):
 class TransversalMatroid(Matroid):
     """Rank of S is the maximum matching size between S and a slot set.
 
-    ``adjacency[g]`` lists the slots good ``g`` may occupy. Rank queries run
-    an augmenting-path matching and are memoized per bundle; the cache is only
-    ever extended with recomputable values, so concurrent readers are safe.
-    ``rank_table`` runs no matching and leaves the cache alone.
+    ``adjacency[g]`` lists the slots good ``g`` may occupy.
     """
 
     m: int
     slots: int
     adjacency: tuple[GoodSet, ...]
-    _cache: dict[GoodSet, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if len(self.adjacency) != self.m:
@@ -221,12 +208,13 @@ class TransversalMatroid(Matroid):
             if any(not 0 <= s < self.slots for s in slots):
                 raise ValidationError(f"good {g} adjacent to unknown slot")
 
-    def _matching(self, goods: Sequence[int]) -> dict[int, int]:
+    def _matching(self, goods: Iterable[int]) -> dict[int, int]:
         """Greedy augmenting-path matching; returns slot -> good.
 
-        Each good searches breadth-first for a shortest augmenting path, on
-        a queue rather than the call stack, so no input size reaches the
-        recursion limit.
+        A good takes its first free slot, the one a search would reach
+        first; failing that it searches breadth-first for a shortest
+        augmenting path, on a queue rather than the call stack, so no input
+        size reaches the recursion limit.
         """
         match: dict[int, int] = {}
 
@@ -250,16 +238,39 @@ class TransversalMatroid(Matroid):
                     return
 
         for g in goods:
-            try_place(g)
+            for s in self.adjacency[g]:
+                if s not in match:
+                    match[s] = g
+                    break
+            else:
+                try_place(g)
         return match
 
-    def rank(self, goods: Iterable[int]) -> int:
-        goods = _as_goodset(goods)
-        cached = self._cache.get(goods)
-        if cached is None:
-            cached = len(self._matching(sorted(goods)))
-            self._cache[goods] = cached
-        return cached
+    def rank(self, goods: AbstractSet[int]) -> int:
+        return len(self._matching(sorted(goods)))
+
+    def extensions(self, goods: AbstractSet[int]) -> list[int]:
+        """Goods with an alternating path to a free slot (Cunningham 1986).
+
+        A matched good adjacent to a free or opened slot can move there, so
+        its own slot opens; a good extends ``goods`` iff it reaches a slot
+        that is not blocked.
+        """
+        match = self._matching(goods)
+        users: dict[int, list[int]] = {}  # slot -> slots of matched goods next to it
+        for own, g in match.items():
+            for s in self.adjacency[g]:
+                users.setdefault(s, []).append(own)
+        queue = [s for s in users if s not in match]
+        opened = set()
+        for s in queue:
+            for own in users[s]:
+                if own not in opened:
+                    opened.add(own)
+                    queue.append(own)
+        blocked = match.keys() - opened
+        return [h for h in range(self.m)
+                if h not in goods and not self.adjacency[h] <= blocked]
 
     def rank_table(self) -> list[int]:
         """Hall's theorem as a DP over masks, on slot bitmasks.
@@ -311,8 +322,8 @@ class ExplicitMatroid(Matroid):
                 f"{EXPLICIT_TABLE_MAX_GOODS} goods, got {self.m}"
             )
 
-    def rank(self, goods: Iterable[int]) -> int:
-        goods = _as_goodset(goods)
+    def rank(self, goods: AbstractSet[int]) -> int:
+        goods = frozenset(goods)
         try:
             return self.table[goods]
         except KeyError:
@@ -332,23 +343,20 @@ class BivaluedValuation:
         if not isinstance(self.c, int) or self.c < 2:
             raise ValidationError(f"c must be an integer >= 2, got {self.c!r}")
 
-    def rank(self, goods: Iterable[int]) -> int:
+    def rank(self, goods: AbstractSet[int]) -> int:
         return self.matroid.rank(goods)
 
-    def value(self, goods: Iterable[int]) -> int:
-        goods = _as_goodset(goods)
+    def value(self, goods: AbstractSet[int]) -> int:
         return len(goods) + (self.c - 1) * self.matroid.rank(goods)
 
-    def marginal(self, goods: Iterable[int], g: int) -> int:
+    def marginal(self, goods: AbstractSet[int], g: int) -> int:
         """Marginal value of adding ``g``; always 1 or c."""
-        goods = _as_goodset(goods)
         if g in goods:
             raise ValidationError(f"good {g} already in the bundle")
         return 1 + (self.c - 1) * (1 if self.matroid.can_extend(goods, g) else 0)
 
-    def is_clean(self, goods: Iterable[int]) -> bool:
+    def is_clean(self, goods: AbstractSet[int]) -> bool:
         """Whether every good in the bundle contributes the high value c."""
-        goods = _as_goodset(goods)
         return self.matroid.rank(goods) == len(goods)
 
 
@@ -412,7 +420,7 @@ class Instance:
         """Valuation of agent ``i`` (1-based)."""
         return self.valuations[i - 1]
 
-    def value(self, i: int, goods: Iterable[int]) -> int:
+    def value(self, i: int, goods: AbstractSet[int]) -> int:
         return self.valuation(i).value(goods)
 
 

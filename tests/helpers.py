@@ -41,9 +41,8 @@ def is_independent(matroid: Matroid, subset: frozenset[int]) -> bool:
         )
     if isinstance(matroid, TransversalMatroid):
         goods = sorted(subset)
-        if len(goods) > matroid.slots:
-            return False
-        for slots in itertools.permutations(range(matroid.slots), len(goods)):
+        reached = sorted(set().union(*(matroid.adjacency[g] for g in goods)))
+        for slots in itertools.permutations(reached, len(goods)):
             if all(s in matroid.adjacency[g] for g, s in zip(goods, slots)):
                 return True
         return not goods

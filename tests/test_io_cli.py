@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -572,6 +573,28 @@ def _mutated(draw, base):
     return data
 
 
+@st.composite
+def _restated(draw):
+    """A ``random_instance`` file restated without changing what it asks.
+
+    Goods may be renamed consistently, agents reordered, and ``c`` given as
+    a pair ``a``/``b``.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    n, m, c = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    instance = random_instance(family, n, m, c, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        names = draw(st.lists(st.text(max_size=3), min_size=m, max_size=m, unique=True))
+        instance = dataclasses.replace(instance, goods=tuple(names))
+    data = emit_instance(instance)
+    data["agents"] = draw(st.permutations(data["agents"]))
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 5))
+        del data["c"]
+        data["a"], data["b"] = a, a * c
+    return data
+
+
 class TestFuzzedInputs:
     """Whatever JSON an input file holds, solve and audit exit 0 or 2."""
 
@@ -591,4 +614,14 @@ class TestFuzzedInputs:
             ["audit", files["inst"], files["fuzzed-alloc"], "--mms"],
         ):
             assert main([str(arg) for arg in argv]) in (0, 2), argv
+        capsys.readouterr()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance=_restated())
+    def test_restated_valid_files_solve_and_audit(self, tmp_path, capsys, instance):
+        inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+        inst.write_text(json.dumps(instance), encoding="utf-8")
+        assert main(["solve", str(inst), "-o", str(alloc)]) == 0
+        assert main(["audit", str(inst), str(alloc), "--mms"]) == 0
         capsys.readouterr()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -225,6 +226,30 @@ class TestSolveGeneral:
                 a = solve(instance, criterion, check_invariants=True)
                 b = solve(twin, criterion, check_invariants=True)
                 assert a.allocation.bundles == b.allocation.bundles
+
+    def test_solves_and_audits_leave_valuations_unchanged(self):
+        # Memory stays bounded on shared valuations only if no query caches.
+        from bifair.valuation import ExplicitMatroid
+
+        rng = random.Random(61)
+        for family in FAMILIES + ("explicit",):
+            instance = random_instance(family.replace("explicit", "partition"), 3, 6, 2, rng)
+            if family == "explicit":
+                subsets = [frozenset(g for g in range(6) if mask >> g & 1)
+                           for mask in range(1 << 6)]
+                instance = Instance(instance.goods, 2, tuple(
+                    BivaluedValuation(2, ExplicitMatroid(6, {s: v.rank(s) for s in subsets}))
+                    for v in instance.valuations
+                ))
+
+            def state():
+                return [(vars(v), vars(v.matroid)) for v in instance.valuations]
+
+            before = copy.deepcopy(state())
+            for name, p in (("mnw", None), ("leximin", None), ("pmean", -1.0)):
+                result = solve(instance, make_criterion(name, p))
+                bifair.audit_allocation(instance, result.allocation, with_mms=True)
+            assert state() == before, family
 
     def test_trace_serializes_to_jsonl(self, worked_example):
         trace = solve(worked_example, Leximin(5)).trace

@@ -189,6 +189,40 @@ class TestExtensions:
                     checked[name] += 1
         assert min(checked.values()) > 100
 
+    @pytest.mark.parametrize("first_slot", [0, 10**7 - 16], ids=["dense", "near-1e7"])
+    def test_transversal_matches_rank_table_up_to_fourteen_goods(self, first_slot):
+        rng = random.Random(59)
+        for _ in range(20):
+            m = rng.randint(9, 14)
+            ids = range(first_slot, first_slot + rng.randint(0, m + 1))
+            matroid = TransversalMatroid(m, first_slot + 16, tuple(
+                frozenset(s for s in ids if rng.random() < 0.4) for _ in range(m)
+            ))
+            table = matroid.rank_table()
+            for _ in range(20):
+                goods = {g for g in range(m) if rng.random() < rng.random()}
+                mask = sum(1 << g for g in goods)
+                expected = [h for h in range(m)
+                            if h not in goods and table[mask | 1 << h] > table[mask]]
+                assert matroid.extensions(goods) == expected, (matroid, goods)
+
+    def test_transversal_chain_without_recursion(self):
+        # Good g may take slot g - 1 or g, as in the rank test below. With one
+        # slot fewer than goods, good 0 extends the middle goods only by
+        # shifting every one of them a slot along.
+        m = 5000
+        chain = TransversalMatroid(m, m, tuple(
+            frozenset({max(g - 1, 0), g}) for g in range(m)
+        ))
+        assert chain.extensions(set(range(m))) == []
+        assert chain.extensions(set(range(1, m))) == [0]
+        assert chain.extensions(set(range(0, m, 2))) == list(range(1, m, 2))
+        short = TransversalMatroid(m, m - 1, tuple(
+            frozenset({max(g - 1, 0), min(g, m - 2)}) for g in range(m)
+        ))
+        assert short.extensions(set(range(1, m - 1))) == [0, m - 1]
+        assert short.extensions(set(range(1, m))) == []
+
     def test_closed_forms(self):
         assert UniformMatroid(5, 2).extensions(frozenset({3})) == [0, 1, 2, 4]
         assert UniformMatroid(5, 2).extensions(frozenset({1, 3})) == []
@@ -399,13 +433,7 @@ class TestValueTables:
         sparse = TransversalMatroid(
             3, far, (frozenset({0, far - 1}),) + (frozenset({far - 1}),) * 2
         )
-        dense = TransversalMatroid(3, 2, (frozenset({0, 1}),) + (frozenset({1}),) * 2)
-        assert sparse.rank_table() == [brute_rank(dense, s) for s in _subsets(3)]
-
-    def test_transversal_table_leaves_cache_empty(self):
-        matroid = _table_matroid("transversal", 8, random.Random(4))
-        matroid.rank_table()
-        assert matroid._cache == {}
+        assert sparse.rank_table() == [brute_rank(sparse, s) for s in _subsets(3)]
 
     def test_more_than_twenty_goods_refused(self):
         with pytest.raises(SizeLimitError):
