@@ -37,7 +37,6 @@ from .solver import (
     compare_gains,
     make_criterion,
     solve,
-    utilitarian_optimal,
 )
 from .valuation import (
     BivaluedValuation,
@@ -94,7 +93,6 @@ __all__ = [
     "random_instance",
     "solve",
     "sorted_utility_vector",
-    "utilitarian_optimal",
     "utility_vector",
     "validate_explicit",
 ]

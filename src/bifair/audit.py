@@ -15,7 +15,7 @@ from fractions import Fraction
 from .allocation import Allocation, utility_vector
 from .errors import ValidationError
 from .oracle import _check_cap
-from .solver import log_power_sum
+from .solver import P_LIMIT, log_power_sum
 from .valuation import Instance, bundle_value_table
 
 MNW_MMS_THRESHOLD = Fraction(2, 5)
@@ -76,9 +76,10 @@ def usw(instance: Instance, allocation: Allocation) -> int:
 
 def pmean_welfare(instance: Instance, allocation: Allocation, p: float) -> float:
     """Power-mean welfare over the positive-utility agents, averaged over n."""
-    if not math.isfinite(p) or p == 0 or p > 1:
+    if not abs(p) <= P_LIMIT or p == 0 or p > 1:
         raise ValidationError(
-            f"p-mean welfare is defined for finite p <= 1, p != 0; got {p}"
+            f"p-mean welfare is defined for finite p <= 1, p != 0, "
+            f"|p| <= {P_LIMIT:g}; got {p}"
         )
     utilities = [u for u in utility_vector(instance, allocation) if u > 0]
     if not utilities:
@@ -253,8 +254,11 @@ def audit_allocation(
     """Run every auditor and assemble the report.
 
     Maximin shares are only computed on request since their DP grows as
-    3^m per agent; a size overrun raises rather than silently skipping.
+    3^m per agent; a size overrun raises rather than silently skipping. A
+    criterion hint only sets MMS thresholds, so it needs ``with_mms``.
     """
+    if criterion_hint and not with_mms:
+        raise ValidationError("a criterion hint needs the MMS audit (--mms)")
     ef1_ok, ef1_witness = check_ef1(instance, allocation)
     efx_ok, efx_witness = check_efx(instance, allocation)
     count, product = nash_welfare(instance, allocation)

@@ -123,7 +123,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     for token in args.criteria:
         _criterion_token(token)
     for flag, bound in (("--count", args.count), ("--max-n", args.max_n),
-                        ("--max-m", args.max_m)):
+                        ("--max-m", args.max_m), ("--jobs", args.jobs)):
         if bound < 1:
             raise ValidationError(f"{flag} must be at least 1, got {bound}")
     jobs = []

@@ -358,6 +358,8 @@ def random_instance(
     family: str, n: int, m: int, c: int, seed: int | random.Random
 ) -> Instance:
     """Seed-deterministic random instance of one matroid family."""
+    if n < 1 or m < 0:
+        raise ValidationError(f"need n >= 1 agents and m >= 0 goods, got n={n}, m={m}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     goods = tuple(f"g{g + 1}" for g in range(m))
     valuations = tuple(

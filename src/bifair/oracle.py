@@ -6,7 +6,7 @@ solver's own machinery; the size caps keep them to desk scale.
 Optima range over complete allocations only. Every good adds 1 or c to
 whoever holds it, so an allocation that leaves a good in the pool is
 strictly Pareto-dominated by handing that good to any agent. Each
-criterion's ``compare`` is strictly monotone, so a dominated vector is
+criterion's ``key`` is strictly monotone, so a dominated vector is
 never an optimum and dropping the pool loses nothing; the solver returns
 complete allocations anyway. (P-mean's log tie tolerance can let a
 dominated vector tie an optimum, but it is never an exact one.)
@@ -146,15 +146,13 @@ def _optimum_of(
     criterion: Criterion,
     vectors: set[tuple[int, ...]],
 ) -> BruteForceResult:
-    best: tuple[int, ...] | None = None
+    best = None
     ties: set[tuple[int, ...]] = set()
     for vec in sorted(vectors):
-        if best is None:
-            best, ties = vec, {vec}
-            continue
-        order = criterion.compare(vec, best)
+        key = criterion.key(vec)
+        order = 1 if best is None else criterion.compare_keys(key, best)
         if order > 0:
-            best, ties = vec, {vec}
+            best, ties = key, {vec}
         elif order == 0:
             ties.add(vec)
     return BruteForceResult(frozenset(ties))
@@ -222,10 +220,11 @@ def certify_dominating(
     _check_assignments(instance)
     criterion = criterion.bind(instance)
     own_utilities = utility_vector(instance, result.allocation)
+    own_key = criterion.key(own_utilities)
     own = (result.allocation, result.decomposition)
     for other in enumerate_allocations(instance):
         other_utilities = utility_vector(instance, other)
-        order = criterion.compare(other_utilities, own_utilities)
+        order = criterion.compare_keys(criterion.key(other_utilities), own_key)
         if order > 0:
             return CertificationVerdict(
                 False,

@@ -55,6 +55,10 @@ BOTTOM_GAIN: Gain = (-math.inf, 0)
 # relative one on the values, whatever their scale.
 LOG_TOL = 1e-12
 
+# Largest |p| for p-mean welfare: it keeps p * log u finite for every utility
+# below e**(1.7e8), far past what an instance file can state.
+P_LIMIT = 1e300
+
 
 def compare_gains(a: Gain, b: Gain) -> int:
     """Order two gains lexicographically; -1, 0 or 1.
@@ -105,14 +109,25 @@ class Criterion:
         """
         raise NotImplementedError
 
-    def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
-        """Order two utility vectors under the criterion; -1, 0 or 1.
+    def key(self, u: Sequence[int]) -> tuple:
+        """Rank of a utility vector, ordered by ``compare_keys``; higher is better.
 
-        It must be strictly monotone: raising one agent's utility, the rest
-        unchanged, gives a strictly better vector. Brute force relies on
-        this to search complete allocations only.
+        ``compare`` is derived from it. It must be strictly monotone: raising
+        one agent's utility, the rest unchanged, gives a strictly better key.
+        Brute force relies on this to search complete allocations only.
         """
         raise NotImplementedError
+
+    @staticmethod
+    def compare_keys(a: tuple, b: tuple) -> int:
+        """Order two keys exactly; -1, 0 or 1."""
+        if a == b:
+            return 0
+        return 1 if a > b else -1
+
+    def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
+        """Order two utility vectors under the criterion; -1, 0 or 1."""
+        return self.compare_keys(self.key(u), self.key(w))
 
 
 class MaxNashWelfare(Criterion):
@@ -127,21 +142,9 @@ class MaxNashWelfare(Criterion):
     def gain(self, u: int, d: int) -> Gain:
         return (d, 0) if u == 0 else (0, Fraction(u + d, u))
 
-    def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
-        count_u = sum(1 for x in u if x > 0)
-        count_w = sum(1 for x in w if x > 0)
-        if count_u != count_w:
-            return 1 if count_u > count_w else -1
-        prod_u = prod_w = 1
-        for x in u:
-            if x > 0:
-                prod_u *= x
-        for x in w:
-            if x > 0:
-                prod_w *= x
-        if prod_u == prod_w:
-            return 0
-        return 1 if prod_u > prod_w else -1
+    def key(self, u: Sequence[int]) -> tuple[int, int]:
+        positives = [x for x in u if x > 0]
+        return len(positives), math.prod(positives)
 
 
 class Leximin(Criterion):
@@ -166,28 +169,29 @@ class Leximin(Criterion):
             )
         return (0, -(self.c + 1) * u + d)
 
-    def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
-        su, sw = sorted(u), sorted(w)
-        if su == sw:
-            return 0
-        return 1 if su > sw else -1
+    def key(self, u: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sorted(u))
 
 
 class PMeanWelfare(Criterion):
     """Most agents positive first, then the power mean of the positives.
 
-    Defined for finite real ``p < 1`` with ``p != 0``; both excluded values
-    have better homes (``p -> 0`` is Nash welfare; ``p = 1`` is plain
-    utilitarian welfare, whose constant gain cannot drive agent selection).
-    The gain magnitude is ``log|(u + d)**p - u**p|`` and power sums are
-    compared by their logs, so strongly negative p neither underflows nor
-    loses the order.
+    Defined for real ``p < 1`` with ``p != 0`` and ``|p| <= P_LIMIT``; both
+    excluded values have better homes (``p -> 0`` is Nash welfare; ``p = 1``
+    is plain utilitarian welfare, whose constant gain cannot drive agent
+    selection). The gain magnitude is ``log|(u + d)**p - u**p|`` and power
+    sums are compared by their logs, so strongly negative p neither
+    underflows nor loses the order; the bound on |p| keeps ``p * log u``
+    finite for every utility an instance can state.
     """
 
+    compare_keys = staticmethod(compare_gains)
+
     def __init__(self, p: float):
-        if not math.isfinite(p) or p == 0 or p >= 1:
+        if not abs(p) <= P_LIMIT or p == 0 or p >= 1:
             raise UnsupportedCriterionError(
-                f"p-mean welfare requires a finite p < 1 and p != 0, got {p}"
+                f"p-mean welfare requires a finite p < 1, p != 0 and "
+                f"|p| <= {P_LIMIT:g}, got {p}"
             )
         self.p = p
         self.name = f"pmean[p={p}]"
@@ -198,30 +202,27 @@ class PMeanWelfare(Criterion):
         p = self.p
         return (0, p * math.log(u) + math.log(abs(math.expm1(p * math.log1p(d / u)))))
 
-    def compare(self, u: Sequence[int], w: Sequence[int]) -> int:
-        count_u = sum(1 for x in u if x > 0)
-        count_w = sum(1 for x in w if x > 0)
-        if count_u != count_w:
-            return 1 if count_u > count_w else -1
-        if count_u == 0:
-            return 0
-        order = compare_gains(
-            (0, log_power_sum(u, self.p)), (0, log_power_sum(w, self.p))
-        )
+    def key(self, u: Sequence[int]) -> tuple[int, float]:
+        count = sum(1 for x in u if x > 0)
+        if not count:
+            return (0, 0.0)
         # For p < 0 the outer 1/p exponent reverses the power-sum order.
-        return order if self.p > 0 else -order
+        power = log_power_sum(u, self.p)
+        return (count, power if self.p > 0 else -power)
 
 
 def make_criterion(name: str, p: float | None = None) -> Criterion:
-    """Criterion from its CLI name: ``mnw``, ``leximin`` or ``pmean``."""
-    if name == "mnw":
-        return MaxNashWelfare()
-    if name == "leximin":
-        return Leximin()
+    """Criterion from its CLI name: ``mnw``, ``leximin`` or ``pmean`` (with p)."""
     if name == "pmean":
         if p is None:
             raise UnsupportedCriterionError("pmean requires a p value")
         return PMeanWelfare(p)
+    if p is not None:
+        raise UnsupportedCriterionError(f"only pmean takes a p value, not {name!r}")
+    if name == "mnw":
+        return MaxNashWelfare()
+    if name == "leximin":
+        return Leximin()
     raise UnsupportedCriterionError(f"unknown criterion {name!r}")
 
 
@@ -314,11 +315,6 @@ def _argmax_min_index(
     return i, criterion.gain(u, d)
 
 
-def _empty_graph(instance: Instance) -> ExchangeGraph:
-    """Exchange graph with every good in the pool."""
-    return ExchangeGraph(instance, [range(instance.m)] + [()] * instance.n)
-
-
 class _State:
     """The one mutable solver state, updated in place every iteration.
 
@@ -331,7 +327,7 @@ class _State:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.graph = _empty_graph(instance)
+        self.graph = ExchangeGraph(instance, [range(instance.m)] + [()] * instance.n)
         self.supp: list[set[int]] = [set() for _ in range(instance.n + 1)]
         self.holder: dict[int, int] = {}
         self.utilities = [0] * instance.n
@@ -486,28 +482,3 @@ def _check_selection(utilities: Sequence[int], pool: Iterable[int], i: int) -> N
             raise InternalInvariantError(
                 f"picked agent {i} over poorer or lower-indexed agent {j}"
             )
-
-
-def utilitarian_optimal(instance: Instance) -> Allocation:
-    """A complete allocation maximizing total utility.
-
-    Total utility is ``m + (c - 1) * sum of ranks`` once everything is
-    allocated, so it suffices to grow the agents' clean bundles until no
-    transfer path from any agent reaches the pool, then hand the leftover
-    (uniformly low-value) goods to agent 1.
-    """
-    graph = _empty_graph(instance)
-    progress = True
-    while progress and graph.clean[0]:
-        progress = False
-        for i in instance.agents:
-            if not graph.clean[0]:
-                break
-            path = shortest_path(graph, f_set(instance, graph.clean, i))
-            if path is not None:
-                augment_path(graph, path, i)
-                progress = True
-    bundles = [frozenset(b) for b in graph.clean]
-    bundles[1] |= bundles[0]
-    bundles[0] = frozenset()
-    return Allocation(tuple(bundles))

@@ -52,8 +52,8 @@ class Matroid:
     def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
         """Whether adding ``g`` raises the rank of ``goods`` by one.
 
-        Returns False when ``g`` is already in the set. Subclasses override
-        this with a direct test; the default recomputes two ranks.
+        Returns False when ``g`` is already in the set. It compares two
+        ranks; the solver reads ``extensions`` instead.
         """
         if g in goods:
             return False
@@ -93,9 +93,6 @@ class UniformMatroid(Matroid):
         for _ in range(self.m):
             table += [r + (r < cap) for r in table]
         return table
-
-    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
-        return g not in goods and len(goods) < self.cap
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
         if len(goods) >= self.cap:
@@ -143,14 +140,6 @@ class PartitionMatroid(Matroid):
                       for mask, r in enumerate(table)]
         return table
 
-    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
-        if g in goods:
-            return False
-        idx = self._part_of.get(g)
-        if idx is None:
-            return False
-        return len(goods & self.parts[idx]) < self.caps[idx]
-
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
         """The goods outside ``goods`` of every part that still has room."""
         return sorted(
@@ -180,9 +169,6 @@ class MarkedMatroid(Matroid):
         for g in range(self.m):
             table += [r + 1 for r in table] if g in self.marked else table
         return table
-
-    def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
-        return g not in goods and g in self.marked
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
         return sorted(self.marked - goods)

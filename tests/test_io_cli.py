@@ -510,6 +510,14 @@ class TestCriterionParameters:
         assert main(["audit", str(inst), str(alloc), "--pmean", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_audit_refuses_p_whose_powers_overflow(self, tmp_path, capsys):
+        # Utilities (9, 9): -1e308 * log 9 is -inf, so the welfare read NaN.
+        inst, alloc = _two_additive_agents(tmp_path, 3, 3)
+        assert main(["audit", str(inst), str(alloc), "--pmean=-1e308", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "|p| <= 1e+300" in captured.err
+        assert captured.out == ""
+
     def test_audit_pmean_at_strongly_negative_p(self, tmp_path, capsys):
         # Utilities (24, 12): 12**-300 underflows a float power sum to 0.
         inst, alloc = _two_additive_agents(tmp_path, 8, 4)
@@ -517,6 +525,61 @@ class TestCriterionParameters:
         report = json.loads(capsys.readouterr().out)
         assert report["utilities"] == [24, 12]
         assert report["pmean"]["-300.0"] == pytest.approx(12 * 2 ** (1 / 300), rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-check"])
+    def test_p_whose_powers_overflow_exits_2(self, tmp_path, capsys, command):
+        # p * log u overflows to -inf from u = 6 on; brute force then read nan.
+        if command == "solve":
+            args = ["solve", str(_worked_example_file(tmp_path)),
+                    "--criterion", "pmean", "--p=-1e308"]
+        else:
+            args = ["oracle-check", "--count", "1", "--criteria", "pmean:-1e308"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "|p| <= 1e+300" in captured.err
+        assert captured.out == ""
+
+    def test_p_at_the_bound_matches_brute_force(self, capsys):
+        code = main(["oracle-check", "--count", "40", "--max-n", "3", "--max-m", "8",
+                     "--criteria", "pmean:-1e300", "pmean:1e-300"])
+        assert code == 0
+        assert "0 mismatches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("criterion", ["mnw", "leximin"])
+    def test_solve_refuses_p_for_other_criteria(self, tmp_path, capsys, criterion):
+        path = _worked_example_file(tmp_path)
+        assert main(["solve", str(path), "--criterion", criterion, "--p", "0.5"]) == 2
+        assert "only pmean takes a p value" in capsys.readouterr().err
+
+
+class TestNoSilentOptions:
+    """Options that would be ignored, or sizes no instance has, exit 2."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, m", [(2, -1), (0, 3), (-1, 3)])
+    def test_gen_rejects_impossible_sizes(self, capsys, family, n, m):
+        args = ["gen", "--family", family, "--n", str(n), "--m", str(m),
+                "--c", "2", "--seed", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: need n >= 1 agents and m >= 0 goods, got n={n}, m={m}\n"
+        )
+        assert captured.out == ""
+
+    def test_audit_criterion_hint_needs_mms(self, tmp_path, capsys):
+        inst, alloc = _two_additive_agents(tmp_path, 2, 1)
+        args = ["audit", str(inst), str(alloc), "--criterion-hint", "mnw"]
+        assert main(args) == 2
+        assert "--mms" in capsys.readouterr().err
+        assert main(args + ["--mms"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_oracle_check_rejects_fewer_than_one_job(self, capsys, jobs):
+        assert main(["oracle-check", "--count", "1", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert captured.out == ""
 
 
 _JSON = st.recursive(

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 import bifair
 from bifair.errors import UnsupportedCriterionError, ValidationError
 from bifair.exchange import ExchangeGraph
-from bifair.io import dumps_canonical, emit_allocation, random_instance
+from bifair.io import (
+    dumps_canonical,
+    emit_allocation,
+    emit_instance,
+    parse_instance,
+    random_instance,
+)
 from bifair.solver import (
     BOTTOM_GAIN,
     Leximin,
@@ -29,9 +35,8 @@ from bifair.solver import (
     compare_gains,
     make_criterion,
     solve,
-    utilitarian_optimal,
 )
-from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid, UniformMatroid
+from bifair.valuation import BivaluedValuation, Instance, UniformMatroid
 from helpers import brute_value, ladder_instance, pmean_optima
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
@@ -346,6 +351,36 @@ class TestNonIntegerPMean:
         _solve_against_pmean_oracle(p, 150)
 
 
+class TestMetamorphic:
+    """Renumbering agents or goods cannot change how good the optimum is.
+
+    At n = 10-40 and m = 40-160, far past brute force, each criterion's key
+    of the solver's utilities must tie across the instance, its agents
+    shuffled and its goods shuffled (by re-parsing the file with the goods
+    listed in another order).
+    """
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_permutations_keep_the_optimum(self, family):
+        rng = random.Random(f"metamorphic:{family}")
+        for _ in range(4):
+            n, m = rng.randint(10, 40), rng.randint(40, 160)
+            instance = random_instance(family, n, m, rng.choice((2, 3)), rng)
+            data = emit_instance(instance)
+            variants = (
+                instance,
+                parse_instance(dict(data, agents=rng.sample(data["agents"], n))),
+                parse_instance(dict(data, goods=rng.sample(data["goods"], m))),
+            )
+            for name, p in (("mnw", None), ("leximin", None),
+                            ("pmean", -1.0), ("pmean", 0.5)):
+                criterion = make_criterion(name, p).bind(instance)
+                keys = [criterion.key(solve(v, criterion).utilities) for v in variants]
+                assert all(criterion.compare_keys(k, keys[0]) == 0 for k in keys), (
+                    f"{family} n={n} m={m} {criterion.name}: keys {keys} differ"
+                )
+
+
 def test_import_and_pmean_solve_load_no_mpmath():
     # A fresh interpreter, so no other test's imports are counted.
     script = (
@@ -402,49 +437,3 @@ class TestLadder:
         result = solve(instance, Leximin(3))
         assert max(len(record.path or ()) for record in result.trace.records) == n
         assert len(expanded) <= 2 * n
-
-
-class TestUtilitarian:
-    def test_worked_example_total(self, worked_example):
-        allocation = utilitarian_optimal(worked_example)
-        total = sum(
-            worked_example.value(i, allocation.bundle(i))
-            for i in worked_example.agents
-        )
-        assert total == 30
-        assert allocation.bundle(0) == frozenset()
-
-    def test_all_additive_agents_reach_cm(self):
-        goods = ("a", "b", "c", "d")
-        val = BivaluedValuation(3, MarkedMatroid(4, frozenset(range(4))))
-        instance = Instance(goods, 3, (val, val))
-        allocation = utilitarian_optimal(instance)
-        total = sum(instance.value(i, allocation.bundle(i)) for i in instance.agents)
-        assert total == 3 * 4
-
-    def test_zero_cap_agent_keeps_empty_clean_bundle(self):
-        goods = ("a", "b")
-        blocked = BivaluedValuation(2, UniformMatroid(2, 0))
-        additive = BivaluedValuation(2, MarkedMatroid(2, frozenset({0, 1})))
-        instance = Instance(goods, 2, (blocked, additive))
-        allocation = utilitarian_optimal(instance)
-        assert instance.valuation(1).rank(allocation.bundle(1)) == 0
-        total = sum(instance.value(i, allocation.bundle(i)) for i in instance.agents)
-        assert total == 4
-
-    def test_matches_enumeration(self):
-        from bifair.oracle import enumerate_allocations
-
-        rng = random.Random(37)
-        for trial in range(20):
-            family = FAMILIES[trial % len(FAMILIES)]
-            instance = random_instance(family, 2, 4, 3, rng)
-            best = max(
-                sum(instance.value(i, a.bundle(i)) for i in instance.agents)
-                for a in enumerate_allocations(instance)
-            )
-            allocation = utilitarian_optimal(instance)
-            total = sum(
-                instance.value(i, allocation.bundle(i)) for i in instance.agents
-            )
-            assert total == best
