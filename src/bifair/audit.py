@@ -126,7 +126,7 @@ def mms(instance: Instance, i: int) -> int:
     if n == 1:
         return instance.value(i, frozenset(range(m)))
     _check_cap((n - 2) * (3**m - 1) // 2 + 2 ** (m - 1), "maximin-share DP steps")
-    values = bundle_value_table(instance.valuation(i), m)
+    values = bundle_value_table(instance.valuation(i))
     full = len(values) - 1
     shares = values
     for _ in range(n - 2):

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 broken internal invariant or failed oracle check,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -152,10 +153,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if failures:
         if args.report_dir:
             report_dir = Path(args.report_dir)
-            report_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                report_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {report_dir}: {exc}") from None
             for k, failure in enumerate(failures):
                 path = report_dir / f"mismatch-{k:04d}.json"
-                path.write_text(bio.dumps_canonical(failure), encoding="utf-8")
+                _write_file(bio.dumps_canonical(failure), str(path))
             print(f"wrote {len(failures)} failure artifacts to {report_dir}")
         for failure in failures[:5]:
             print(
@@ -168,7 +172,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="bifair",
         description="Fair allocation of indivisible goods under bivalued "

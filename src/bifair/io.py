@@ -10,6 +10,7 @@ tables are audited against the rank axioms at load.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -104,25 +105,25 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
         return TransversalMatroid(m, slots, tuple(adjacency))
     if kind == "explicit":
         _require_keys(obj, {"type", "rank"}, {"rank"}, where)
-        table: dict[frozenset[int], int] = {}
-        key_of: dict[frozenset[int], str] = {}
+        ranks: dict[int, int] = {}  # subset bitmask -> rank
+        key_of: dict[int, str] = {}
         for key, value in _typed(obj["rank"], dict, where, "rank").items():
             names = [part for part in key.split(",") if part]
             subset = _good_indices(names, index, where)
             if len(subset) != len(names):
                 raise ValidationError(f"{where}: rank key {key!r} names a good twice")
-            if subset in key_of:
+            mask = sum(1 << g for g in subset)
+            if mask in key_of:
                 raise ValidationError(
-                    f"{where}: rank keys {key_of[subset]!r} and {key!r} name the same subset"
+                    f"{where}: rank keys {key_of[mask]!r} and {key!r} name the same subset"
                 )
-            key_of[subset] = key
-            table[subset] = _typed(value, int, where, f"rank of {key!r}")
-        matroid = ExplicitMatroid(m, table)
-        if len(table) != 1 << m:
-            raise ValidationError(
-                f"{where}: explicit table has {len(table)} of {1 << m} subsets"
-            )
-        return matroid
+            key_of[mask] = key
+            ranks[mask] = _typed(value, int, where, f"rank of {key!r}")
+        # A complete table holds every mask below 2^m once, so sorting lays it out.
+        try:
+            return ExplicitMatroid(m, tuple(ranks[mask] for mask in sorted(ranks)))
+        except MalformedMatroidError as exc:
+            raise MalformedMatroidError(f"{where}: {exc}") from None
     raise ValidationError(f"{where}: unknown matroid type {kind!r}")
 
 
@@ -147,7 +148,7 @@ def parse_instance(data: dict) -> Instance:
         {"version", "goods", "agents"},
         "instance",
     )
-    if data["version"] != INSTANCE_VERSION:
+    if _typed(data["version"], int, "instance", "version") != INSTANCE_VERSION:
         raise ValidationError(f"unsupported instance version {data['version']!r}")
     goods = tuple(_typed(data["goods"], list, "instance", "goods"))
     if not all(isinstance(name, str) for name in goods):
@@ -214,10 +215,9 @@ def emit_matroid(matroid: Matroid, goods: tuple[str, ...]) -> dict:
         return {
             "type": "explicit",
             "rank": {
-                ",".join(names(subset)): rank
-                for subset, rank in sorted(
-                    matroid.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-                )
+                ",".join(names(subset)): matroid.ranks[sum(1 << g for g in subset)]
+                for size in range(matroid.m + 1)
+                for subset in itertools.combinations(range(matroid.m), size)
             },
         }
     raise ValidationError(f"cannot serialize matroid {type(matroid).__name__}")
@@ -284,7 +284,7 @@ def parse_allocation(data: dict, instance: Instance) -> Allocation:
         {"version", "unallocated", "bundles"},
         "allocation",
     )
-    if data["version"] != ALLOCATION_VERSION:
+    if _typed(data["version"], int, "allocation", "version") != ALLOCATION_VERSION:
         raise ValidationError(f"unsupported allocation version {data['version']!r}")
     if len(_typed(data["bundles"], list, "allocation", "bundles")) != instance.n:
         raise ValidationError(

@@ -14,8 +14,8 @@ dominated vector tie an optimum, but it is never an exact one.)
 The distinct utility vectors come from a DP over used-goods bitmasks, on
 per-agent bundle value tables: each agent in turn takes every subset of
 the goods still free, and the last agent takes the rest. The tables come
-from each matroid's ``rank_table``, in closed form for every family but
-explicit, so a table costs no rank query per subset. Prefixes that
+from each matroid's ``rank_table``, which explicit matroids store and the
+other families build in closed form, so no table asks ``rank``. Prefixes that
 reach the same used mask with the same utilities are merged, which is
 what saves work over walking every assignment. Its size limit counts its own
 steps: n * 2^m table entries plus one step per prefix per submask taken. It
@@ -89,7 +89,7 @@ def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
     _check_cap(_least_dp_steps(instance), "subset DP steps")
     n, m = instance.n, instance.m
     full = (1 << m) - 1
-    tables = [bundle_value_table(instance.valuation(i), m) for i in instance.agents]
+    tables = [bundle_value_table(instance.valuation(i)) for i in instance.agents]
     steps = n << m
     # used-goods mask -> distinct utility prefixes of the agents served so far
     layer: dict[int, set[tuple[int, ...]]] = {0: {()}}

@@ -10,7 +10,7 @@ Goods are dense integer ids ``0..m-1``; display names live on the
 :class:`Instance`. Exhaustive engines read a matroid's ``rank_table``: the
 rank of every subset, indexed by bitmask. Marked, uniform and partition
 matroids build it in closed form, one good at a time; transversal matroids
-by Hall's theorem over slot bitmasks; explicit tables by lookup.
+by Hall's theorem over slot bitmasks. Explicit matroids store the table.
 """
 
 from __future__ import annotations
@@ -38,16 +38,11 @@ class Matroid:
         """Rank of every subset of ``0..m-1``, indexed by bitmask.
 
         The table has 2^m entries; :func:`bundle_value_table` refuses past 20
-        goods. Subclasses with a closed form override this; the default asks
-        ``rank`` about each subset. Marked, uniform and partition matroids
-        extend the table one good at a time: the subsets holding good g are
-        the earlier masks plus g, and each ranks one more than its mask
-        exactly when g extends it.
+        goods. Marked, uniform and partition matroids extend the table one
+        good at a time: the subsets holding good g are the earlier masks plus
+        g, and each ranks one more than its mask exactly when g extends it.
         """
-        return [
-            self.rank(frozenset(g for g in range(self.m) if mask >> g & 1))
-            for mask in range(1 << self.m)
-        ]
+        raise NotImplementedError
 
     def can_extend(self, goods: AbstractSet[int], g: int) -> bool:
         """Whether adding ``g`` raises the rank of ``goods`` by one.
@@ -63,9 +58,8 @@ class Matroid:
         """Every good that ``can_extend`` ``goods``, in ascending order.
 
         Exchange-graph edges and transfer-path sources are read from this.
-        The default asks ``can_extend`` about each good.
         """
-        return [h for h in range(self.m) if self.can_extend(goods, h)]
+        raise NotImplementedError
 
     def _check_ground(self, m: int) -> None:
         if self.m != m:
@@ -291,15 +285,15 @@ class TransversalMatroid(Matroid):
 
 @dataclass(frozen=True)
 class ExplicitMatroid(Matroid):
-    """Rank given by a complete table over all subsets of the ground set.
+    """Rank read from a table: ``ranks[mask]`` ranks the goods set in ``mask``.
 
-    The table is not trusted: use :func:`validate_explicit` to audit it
-    against the rank-function axioms before relying on it, as instance files
-    do at load.
+    The table has exactly 2^m entries, for at most 20 goods. It is not trusted:
+    use :func:`validate_explicit` to audit it against the rank-function axioms
+    before relying on it, as instance files do at load.
     """
 
     m: int
-    table: dict[GoodSet, int]
+    ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.m > EXPLICIT_TABLE_MAX_GOODS:
@@ -307,15 +301,21 @@ class ExplicitMatroid(Matroid):
                 f"explicit rank tables support at most "
                 f"{EXPLICIT_TABLE_MAX_GOODS} goods, got {self.m}"
             )
+        if len(self.ranks) != 1 << self.m:
+            raise MalformedMatroidError(
+                f"explicit table has {len(self.ranks)} of {1 << self.m} subsets"
+            )
 
     def rank(self, goods: AbstractSet[int]) -> int:
-        goods = frozenset(goods)
-        try:
-            return self.table[goods]
-        except KeyError:
-            raise MalformedMatroidError(
-                f"rank table has no entry for {sorted(goods)}"
-            ) from None
+        return self.ranks[sum(1 << g for g in goods)]
+
+    def rank_table(self) -> list[int]:
+        return list(self.ranks)
+
+    def extensions(self, goods: AbstractSet[int]) -> list[int]:
+        mask = sum(1 << g for g in goods)
+        ranks = self.ranks
+        return [h for h in range(self.m) if ranks[mask | 1 << h] > ranks[mask]]
 
 
 @dataclass(frozen=True)
@@ -443,81 +443,56 @@ def validate_explicit(valuation: BivaluedValuation) -> list[AxiomViolation]:
 
     Checks normalization (empty set ranks 0), binary marginals (which
     subsumes monotonicity), and pairwise submodularity
-    ``rank(S+g) + rank(S+h) >= rank(S+g+h) + rank(S)``. Returns every
-    violation found; an empty list certifies the table. Missing entries are
-    reported rather than raised so a single audit covers the whole table.
+    ``rank(S+g) + rank(S+h) >= rank(S+g+h) + rank(S)``. Subsets S are
+    visited by size, then in ``itertools.combinations`` order. Returns every
+    violation found; an empty list certifies the table.
     """
     matroid = valuation.matroid
     if not isinstance(matroid, ExplicitMatroid):
         raise ValidationError("only explicit rank tables can be audited")
-    m = matroid.m
-    if m > EXPLICIT_TABLE_MAX_GOODS:
-        raise SizeLimitError(f"audit supports at most {EXPLICIT_TABLE_MAX_GOODS} goods")
-
-    table = matroid.table
+    ranks = matroid.ranks
     violations: list[AxiomViolation] = []
-    universe = range(m)
-
-    def lookup(goods: frozenset[int]) -> int | None:
-        if goods in table:
-            return table[goods]
+    if ranks[0] != 0:
         violations.append(
-            AxiomViolation("missing-entry", tuple(sorted(goods)), (), "no rank entry")
-        )
-        return None
-
-    empty_rank = lookup(frozenset())
-    if empty_rank not in (None, 0):
-        violations.append(
-            AxiomViolation("normalization", (), (), f"rank(empty) = {empty_rank}")
+            AxiomViolation("normalization", (), (), f"rank(empty) = {ranks[0]}")
         )
 
-    for size in range(m + 1):
+    universe = range(matroid.m)
+    for size in range(matroid.m + 1):
         for subset in itertools.combinations(universe, size):
-            s = frozenset(subset)
-            rank_s = lookup(s)
-            if rank_s is None:
-                continue
-            rest = [g for g in universe if g not in s]
-            singles: dict[int, int] = {}
+            mask = sum(1 << g for g in subset)
+            rank_s = ranks[mask]
+            rest = [g for g in universe if not mask >> g & 1]
             for g in rest:
-                rank_sg = lookup(s | {g})
-                if rank_sg is None:
-                    continue
-                singles[g] = rank_sg
-                if rank_sg - rank_s not in (0, 1):
+                marginal = ranks[mask | 1 << g] - rank_s
+                if marginal not in (0, 1):
                     violations.append(
                         AxiomViolation(
                             "binary-marginal", subset, (g,),
-                            f"marginal {rank_sg - rank_s} not in {{0, 1}}",
+                            f"marginal {marginal} not in {{0, 1}}",
                         )
                     )
             for g, h in itertools.combinations(rest, 2):
-                if g not in singles or h not in singles:
-                    continue
-                rank_sgh = lookup(s | {g, h})
-                if rank_sgh is None:
-                    continue
-                if singles[g] + singles[h] < rank_sgh + rank_s:
+                singles = ranks[mask | 1 << g] + ranks[mask | 1 << h]
+                both = ranks[mask | 1 << g | 1 << h] + rank_s
+                if singles < both:
                     violations.append(
                         AxiomViolation(
                             "submodularity", subset, (g, h),
-                            f"rank(S+g)+rank(S+h)={singles[g] + singles[h]} < "
-                            f"rank(S+g+h)+rank(S)={rank_sgh + rank_s}",
+                            f"rank(S+g)+rank(S+h)={singles} < "
+                            f"rank(S+g+h)+rank(S)={both}",
                         )
                     )
     return violations
 
 
-def bundle_value_table(valuation: BivaluedValuation, m: int) -> list[int]:
-    """Value of every subset of ``0..m-1``, indexed by bitmask.
+def bundle_value_table(valuation: BivaluedValuation) -> list[int]:
+    """Value of every subset of the matroid's goods, indexed by bitmask.
 
-    Exhaustive-search helpers use this to turn repeated rank queries into
-    array lookups. It reads the matroid's ``rank_table``, so no family but
-    explicit builds a bundle or asks ``rank`` per mask. ``m`` is the
-    matroid's ground-set size; only sensible when it is small.
+    Exhaustive-search helpers read values from it, built from the matroid's
+    ``rank_table`` without a rank query per subset. It refuses past 20 goods.
     """
-    if m > EXPLICIT_TABLE_MAX_GOODS:
+    if valuation.matroid.m > EXPLICIT_TABLE_MAX_GOODS:
         raise SizeLimitError("value tables support at most 20 goods")
     high = valuation.c - 1
     return [

@@ -47,7 +47,7 @@ def is_independent(matroid: Matroid, subset: frozenset[int]) -> bool:
                 return True
         return not goods
     if isinstance(matroid, ExplicitMatroid):
-        return matroid.table[subset] == len(subset)
+        return matroid.ranks[sum(1 << g for g in subset)] == len(subset)
     raise TypeError(type(matroid))
 
 

@@ -4,11 +4,13 @@ import copy
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bifair.cli
 from bifair.allocation import Allocation
 from bifair.cli import main
 from bifair.errors import ValidationError
@@ -41,6 +43,37 @@ def _worked_example_file(tmp_path, c=5):
     path = tmp_path / "example.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+_EXPLICIT_INSTANCE_TEXT = """\
+{
+  "agents": [
+    {
+      "matroid": {
+        "rank": {
+          "": 0,
+          "x": 1,
+          "y": 1,
+          "y,x": 2,
+          "z": 1,
+          "z,x": 2,
+          "z,y": 1,
+          "z,y,x": 2
+        },
+        "type": "explicit"
+      },
+      "name": "t"
+    }
+  ],
+  "c": 3,
+  "goods": [
+    "z",
+    "y",
+    "x"
+  ],
+  "version": 1
+}
+"""
 
 
 class TestInstanceParsing:
@@ -78,6 +111,20 @@ class TestInstanceParsing:
         instance = parse_instance(data)
         assert instance.valuation(1).rank({0, 1}) == 1
         assert parse_instance(emit_instance(instance)).value(1, {0, 1}) == 3
+
+    def test_explicit_emitted_bytes(self):
+        # rank(S) = min(|S & {z, y}|, 1) + |S & {x}|, with keys given out of order.
+        data = {
+            "version": 1, "c": 3, "goods": ["z", "y", "x"],
+            "agents": [{"name": "t", "matroid": {"type": "explicit", "rank": {
+                "z,y,x": 2, "y,x": 2, "x": 1, "": 0, "z,x": 2, "y": 1, "z,y": 1, "z": 1,
+            }}}],
+        }
+        emitted = emit_instance(parse_instance(data))
+        assert list(emitted["agents"][0]["matroid"]["rank"]) == [
+            "", "z", "y", "x", "z,y", "z,x", "y,x", "z,y,x",
+        ]
+        assert dumps_canonical(emitted) == _EXPLICIT_INSTANCE_TEXT
 
     def test_unknown_field_rejected(self):
         data = {
@@ -372,6 +419,59 @@ class TestUnwritableOutputs:
             assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
 
 
+class TestOracleCheckReports:
+    """``--report-dir`` on a mismatch forced by inflating every solver utility."""
+
+    ARGS = ["oracle-check", "--families", "marked", "--count", "1", "--criteria", "mnw"]
+
+    @pytest.fixture(autouse=True)
+    def inflated(self, monkeypatch):
+        real = bifair.cli.solve
+
+        def inflated_solve(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(
+                result, utilities=tuple(u + 1 for u in result.utilities)
+            )
+
+        monkeypatch.setattr(bifair.cli, "solve", inflated_solve)
+
+    def test_mismatch_writes_an_artifact(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        assert main(self.ARGS + ["--report-dir", str(reports)]) == 1
+        assert "1 mismatches" in capsys.readouterr().out
+        assert [p.name for p in reports.iterdir()] == ["mismatch-0000.json"]
+        artifact = json.loads((reports / "mismatch-0000.json").read_text(encoding="utf-8"))
+        assert sorted(artifact) == [
+            "criterion", "family", "index", "instance",
+            "optimal_sorted_utilities", "solver_sorted_utilities",
+        ]
+        assert (artifact["family"], artifact["index"], artifact["criterion"]) == (
+            "marked", 0, "mnw"
+        )
+        assert parse_instance(artifact["instance"]).n == len(
+            artifact["solver_sorted_utilities"]
+        )
+        assert artifact["solver_sorted_utilities"] not in artifact["optimal_sorted_utilities"]
+
+    def test_unwritable_report_dir(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker / "sub"
+        assert main(self.ARGS + ["--report-dir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+
+
+def test_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    inst, alloc = _two_additive_agents(tmp_path, 2, 1)
+    assert main(["audit", str(inst), str(alloc), "--pmean", "0.5", "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["pmean"]) == ["0.5"]
+    assert main(["audit", str(inst), str(alloc), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pmean"] == {}
+
+
 class TestInputContract:
     """Wrongly typed fields exit 2 naming the agent; nothing is coerced."""
 
@@ -457,6 +557,41 @@ class TestInputContract:
             "version": 1, "c": 3, "goods": goods,
             "agents": [{"matroid": {"type": "uniform", "cap": 1}}],
         }, "error: instance: goods must be a list")
+
+    def test_incomplete_explicit_table(self, tmp_path, capsys):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": ["x", "y"],
+            "agents": [{"matroid": {"type": "uniform", "cap": 1}},
+                       {"matroid": {"type": "explicit", "rank": {"": 0, "x": 1, "y": 1}}}],
+        }, "error: agent 2: explicit table has 3 of 4 subsets\n")
+
+    def test_explicit_table_past_twenty_goods_builds_no_table(self, tmp_path, capsys):
+        data = {
+            "version": 1, "c": 3, "goods": [f"g{g}" for g in range(21)],
+            "agents": [{"matroid": {"type": "explicit", "rank": {"": 0}}}],
+        }
+        tracemalloc.start()
+        try:
+            self._solve_rejects(tmp_path, capsys, data,
+                                "error: explicit rank tables support at most 20 goods, got 21\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # the 2^21 entries of a table would take 16 MiB
+
+    @pytest.mark.parametrize("version", [1.0, True], ids=["float", "bool"])
+    def test_version_must_be_an_integer(self, tmp_path, capsys, version):
+        inst, alloc = _two_additive_agents(tmp_path, 1, 1)
+        for path, where in ((inst, "instance"), (alloc, "allocation")):
+            good = path.read_text(encoding="utf-8")
+            path.write_text(json.dumps({**json.loads(good), "version": version}),
+                            encoding="utf-8")
+            capsys.readouterr()
+            assert main(["audit", str(inst), str(alloc)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {where}: version must be an integer, got {version!r}\n"
+            )
+            path.write_text(good, encoding="utf-8")
 
     @staticmethod
     def _solve_rejects(tmp_path, capsys, data, prefix):

@@ -221,10 +221,10 @@ class TestSolveGeneral:
             tabled = []
             for i in instance.agents:
                 matroid = instance.valuation(i).matroid
-                table = {}
-                for mask in range(1 << 5):
-                    subset = frozenset(g for g in range(5) if mask >> g & 1)
-                    table[subset] = matroid.rank(subset)
+                table = tuple(
+                    matroid.rank(frozenset(g for g in range(5) if mask >> g & 1))
+                    for mask in range(1 << 5)
+                )
                 tabled.append(BivaluedValuation(2, ExplicitMatroid(5, table)))
             twin = Instance(instance.goods, 2, tuple(tabled))
             for criterion in (MaxNashWelfare(), Leximin(2)):
@@ -243,7 +243,7 @@ class TestSolveGeneral:
                 subsets = [frozenset(g for g in range(6) if mask >> g & 1)
                            for mask in range(1 << 6)]
                 instance = Instance(instance.goods, 2, tuple(
-                    BivaluedValuation(2, ExplicitMatroid(6, {s: v.rank(s) for s in subsets}))
+                    BivaluedValuation(2, ExplicitMatroid(6, tuple(v.rank(s) for s in subsets)))
                     for v in instance.valuations
                 ))
 

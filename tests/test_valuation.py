@@ -65,11 +65,6 @@ class TestRank:
         assert matroid.rank({0, 1, 2}) == 2
         assert brute_rank(matroid, frozenset({0, 1, 2})) == 2
 
-    def test_explicit_missing_entry(self):
-        matroid = ExplicitMatroid(2, {frozenset(): 0})
-        with pytest.raises(MalformedMatroidError):
-            matroid.rank({0, 1})
-
     def test_random_ranks_match_enumeration(self):
         rng = random.Random(5)
         for matroid in _random_matroids(6, 40, 5):
@@ -165,7 +160,7 @@ class TestMatroidAxioms:
 def _explicit_twin(matroid, m: int) -> ExplicitMatroid:
     """The same matroid as a complete rank table."""
     subsets = (frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m))
-    return ExplicitMatroid(m, {s: matroid.rank(s) for s in subsets})
+    return ExplicitMatroid(m, tuple(matroid.rank(s) for s in subsets))
 
 
 class TestExtensions:
@@ -295,21 +290,17 @@ class TestValueConsistencyProperty:
 
 class TestValidateExplicit:
     @staticmethod
-    def _uniform_table(m: int, cap: int) -> dict[frozenset[int], int]:
-        table = {}
-        for mask in range(1 << m):
-            subset = frozenset(g for g in range(m) if mask >> g & 1)
-            table[subset] = min(len(subset), cap)
-        return table
+    def _uniform_table(m: int, cap: int) -> list[int]:
+        return [min(mask.bit_count(), cap) for mask in range(1 << m)]
 
     def test_valid_table_certified(self):
-        val = BivaluedValuation(2, ExplicitMatroid(3, self._uniform_table(3, 2)))
+        val = BivaluedValuation(2, ExplicitMatroid(3, tuple(self._uniform_table(3, 2))))
         assert validate_explicit(val) == []
 
     def test_jump_marginal_reported(self):
         table = self._uniform_table(2, 2)
-        table[frozenset({0})] = 0  # rank jumps 0 -> 2 when good 1 arrives
-        val = BivaluedValuation(2, ExplicitMatroid(2, table))
+        table[0b01] = 0  # rank jumps 0 -> 2 when good 1 arrives
+        val = BivaluedValuation(2, ExplicitMatroid(2, tuple(table)))
         axioms = {v.axiom for v in validate_explicit(val)}
         assert "binary-marginal" in axioms
 
@@ -318,21 +309,28 @@ class TestValidateExplicit:
         for _ in range(20):
             m = rng.randint(2, 4)
             table = self._uniform_table(m, rng.randint(0, m))
-            victim = rng.choice([s for s in table if s])
+            victim = rng.randrange(1, len(table))
             table[victim] = table[victim] + rng.choice([2, 5])
-            val = BivaluedValuation(2, ExplicitMatroid(m, table))
+            val = BivaluedValuation(2, ExplicitMatroid(m, tuple(table)))
             assert validate_explicit(val)
 
-    def test_missing_entry_reported(self):
-        table = self._uniform_table(2, 1)
-        del table[frozenset({0, 1})]
-        val = BivaluedValuation(2, ExplicitMatroid(2, table))
-        axioms = {v.axiom for v in validate_explicit(val)}
-        assert "missing-entry" in axioms
+    def test_violations_come_by_subset_size(self):
+        # Adding good 0 to {2} or to {1, 2}, or good 2 to {0, 1}, lowers the rank.
+        val = BivaluedValuation(2, ExplicitMatroid(3, (0, 0, 1, 1, 1, 0, 1, 0)))
+        assert [(v.axiom, v.subset, v.goods, v.detail) for v in validate_explicit(val)] == [
+            ("binary-marginal", (2,), (0,), "marginal -1 not in {0, 1}"),
+            ("binary-marginal", (0, 1), (2,), "marginal -1 not in {0, 1}"),
+            ("binary-marginal", (1, 2), (0,), "marginal -1 not in {0, 1}"),
+        ]
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_table_of_wrong_length_refused_at_construction(self, length):
+        with pytest.raises(MalformedMatroidError, match=f"has {length} of 4 subsets"):
+            ExplicitMatroid(2, (0, 1, 1, 1, 1)[:length])
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            ExplicitMatroid(21, {})
+            ExplicitMatroid(21, ())
 
 
 class TestInstanceValidation:
@@ -379,7 +377,7 @@ def _table_matroid(family: str, m: int, rng: random.Random):
             frozenset(s for s in range(slots) if rng.random() < 0.4) for _ in range(m)
         ))
     base = _table_matroid(rng.choice(FAMILIES), m, rng)
-    return ExplicitMatroid(m, {s: base.rank(s) for s in _subsets(m)})
+    return ExplicitMatroid(m, tuple(base.rank(s) for s in _subsets(m)))
 
 
 def test_bundle_value_table_matches_direct():
@@ -391,7 +389,7 @@ def test_bundle_value_table_matches_direct():
                 val = BivaluedValuation(rng.randint(2, 5), matroid)
                 subsets = _subsets(m)
                 assert matroid.rank_table() == [matroid.rank(s) for s in subsets]
-                assert bundle_value_table(val, m) == [val.value(s) for s in subsets]
+                assert bundle_value_table(val) == [val.value(s) for s in subsets]
 
 
 class TestValueTables:
@@ -414,11 +412,11 @@ class TestValueTables:
         UniformMatroid(0, 1),
         PartitionMatroid(0, (), ()),
         TransversalMatroid(0, 2, ()),
-        ExplicitMatroid(0, {frozenset(): 0}),
+        ExplicitMatroid(0, (0,)),
     ], ids=lambda matroid: type(matroid).__name__)
     def test_no_goods(self, matroid):
         assert matroid.rank_table() == [0]
-        assert bundle_value_table(BivaluedValuation(3, matroid), 0) == [0]
+        assert bundle_value_table(BivaluedValuation(3, matroid)) == [0]
 
     def test_hall_condition_on_every_subset(self):
         # a and b reach only slot 0, c reaches slots 1 and 2: {a, b, c} reaches
@@ -437,7 +435,7 @@ class TestValueTables:
 
     def test_more_than_twenty_goods_refused(self):
         with pytest.raises(SizeLimitError):
-            bundle_value_table(BivaluedValuation(3, UniformMatroid(21, 2)), 21)
+            bundle_value_table(BivaluedValuation(3, UniformMatroid(21, 2)))
 
 
 def test_transversal_chain_ranks_without_recursion():
