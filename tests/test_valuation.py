@@ -65,6 +65,11 @@ class TestRank:
         assert matroid.rank({0, 1, 2}) == 2
         assert brute_rank(matroid, frozenset({0, 1, 2})) == 2
 
+    def test_explicit_missing_entry(self):
+        # Only the empty set is ranked; the table is refused before any rank query.
+        with pytest.raises(MalformedMatroidError, match="has 1 of 4 subsets"):
+            ExplicitMatroid(2, (0,))
+
     def test_random_ranks_match_enumeration(self):
         rng = random.Random(5)
         for matroid in _random_matroids(6, 40, 5):
@@ -322,6 +327,12 @@ class TestValidateExplicit:
             ("binary-marginal", (0, 1), (2,), "marginal -1 not in {0, 1}"),
             ("binary-marginal", (1, 2), (0,), "marginal -1 not in {0, 1}"),
         ]
+
+    def test_missing_entry_reported(self):
+        table = self._uniform_table(2, 1)
+        del table[0b11]
+        with pytest.raises(MalformedMatroidError, match="has 3 of 4 subsets"):
+            ExplicitMatroid(2, tuple(table))
 
     @pytest.mark.parametrize("length", [0, 3, 5])
     def test_table_of_wrong_length_refused_at_construction(self, length):
