@@ -307,15 +307,26 @@ class ExplicitMatroid(Matroid):
             )
 
     def rank(self, goods: AbstractSet[int]) -> int:
-        return self.ranks[sum(1 << g for g in goods)]
+        try:
+            return self.ranks[sum(1 << g for g in goods)]
+        except (IndexError, ValueError):  # a good >= m, or a negative shift
+            raise self._outside(goods) from None
 
     def rank_table(self) -> list[int]:
         return list(self.ranks)
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
-        mask = sum(1 << g for g in goods)
         ranks = self.ranks
-        return [h for h in range(self.m) if ranks[mask | 1 << h] > ranks[mask]]
+        try:
+            mask = sum(1 << g for g in goods)
+            base = ranks[mask]
+        except (IndexError, ValueError):
+            raise self._outside(goods) from None
+        return [h for h in range(self.m) if ranks[mask | 1 << h] > base]
+
+    def _outside(self, goods: AbstractSet[int]) -> MalformedMatroidError:
+        good = min(g for g in goods if not 0 <= g < self.m)
+        return MalformedMatroidError(f"explicit table over {self.m} goods has no good {good}")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,20 @@ class TestRank:
         with pytest.raises(MalformedMatroidError, match="has 1 of 4 subsets"):
             ExplicitMatroid(2, (0,))
 
+    @pytest.mark.parametrize("method, good", [("rank", 5), ("rank", -1), ("extensions", 2)])
+    def test_explicit_good_out_of_range(self, method, good):
+        matroid = ExplicitMatroid(2, (0, 1, 1, 1))
+        with pytest.raises(MalformedMatroidError,
+                           match=f"^explicit table over 2 goods has no good {good}$"):
+            getattr(matroid, method)({good})
+
+    def test_explicit_in_range_answers(self):
+        matroid = ExplicitMatroid(2, (0, 1, 1, 1))
+        assert [matroid.rank(s) for s in (set(), {0}, {1}, {0, 1})] == [0, 1, 1, 1]
+        assert matroid.extensions(set()) == [0, 1]
+        assert matroid.extensions({0}) == []
+        assert matroid.can_extend(set(), 1) and not matroid.can_extend({1}, 0)
+
     def test_random_ranks_match_enumeration(self):
         rng = random.Random(5)
         for matroid in _random_matroids(6, 40, 5):
