@@ -71,7 +71,7 @@ class TestNamespace:
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match=r"^module 'bifair' has no attribute 'x'$"):
-            bifair.x  # noqa: B018
+            bifair.x
 
     def test_setattr_then_restore(self):
         original = bifair.solve
