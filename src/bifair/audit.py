@@ -112,11 +112,14 @@ def mms(instance: Instance, i: int) -> int:
     receiving the worst one. Only the agent's own valuation applies, so on
     its bundle value table let f_1(S) = v_i(S) and, for k >= 2, f_k(S) be
     the best over bundles T of S holding S's lowest good of
-    min(v_i(T), f_{k-1}(S - T)); the share is f_n(all goods). Each of the
-    n - 2 middle layers visits half of the 3^m (subset, submask) pairs and
-    the last needs only the full mask, so the DP takes
-    (n - 2)(3^m - 1)/2 + 2^(m-1) steps. Over the oracle's enumeration cap it
-    refuses before building the table.
+    min(v_i(T), f_{k-1}(S - T)); the share is f_n(all goods). The last
+    split puts good 0 in the agent's own bundle, and each layer reads only
+    submasks of the mask it splits, so no layer needs a mask holding good 0.
+    Each of the n - 2 middle layers fills the other masks, visiting half of
+    the 3^(m-1) (subset, submask) pairs over goods 1 .. m-1, and the last
+    needs only the full mask, so the DP takes
+    (n - 2)(3^(m-1) - 1)/2 + 2^(m-1) steps. Over the oracle's enumeration cap
+    it refuses before building the table.
     """
     if i not in instance.agents:
         raise ValidationError(f"no agent {i}")
@@ -125,12 +128,15 @@ def mms(instance: Instance, i: int) -> int:
         return 0
     if n == 1:
         return instance.value(i, frozenset(range(m)))
-    _check_cap((n - 2) * (3**m - 1) // 2 + 2 ** (m - 1), "maximin-share DP steps")
+    _check_cap((n - 2) * (3 ** (m - 1) - 1) // 2 + 2 ** (m - 1), "maximin-share DP steps")
     values = bundle_value_table(instance.valuation(i))
     full = len(values) - 1
     shares = values
     for _ in range(n - 2):
-        shares = [0] + [_best_split(s, values, shares) for s in range(1, full + 1)]
+        # Masks holding good 0 are odd; their entries stay 0 and are never read.
+        layer = [0] * (full + 1)
+        layer[2::2] = [_best_split(s, values, shares) for s in range(2, full + 1, 2)]
+        shares = layer
     return _best_split(full, values, shares)
 
 

@@ -12,16 +12,22 @@ complete allocations anyway. (P-mean's log tie tolerance can let a
 dominated vector tie an optimum, but it is never an exact one.)
 
 The distinct utility vectors come from a DP over used-goods bitmasks, on
-per-agent bundle value tables: each agent in turn takes every subset of
-the goods still free, and the last agent takes the rest. The tables come
-from each matroid's ``rank_table``, which explicit matroids store and the
-other families build in closed form, so no table asks ``rank``. Prefixes that
-reach the same used mask with the same utilities are merged, which is
-what saves work over walking every assignment. Its size limit counts its own
-steps: n * 2^m table entries plus one step per prefix per submask taken. It
-refuses up front when the least that count can be is over the cap, and stops
-once the running count passes it. The engines that do walk every assignment
-are limited by the (n+1)^m count.
+per-agent bundle value tables: each agent but the last two in turn takes
+every subset of the goods still free. Then one pair pass per used mask
+splits the free goods between the last two agents, every subset S to the
+second-to-last and the rest to the last, collects the distinct value pairs
+and joins them to the mask's prefixes. The tables come from each matroid's
+``rank_table``, which explicit matroids store and the other families build
+in closed form, so no table asks ``rank``. Prefixes that reach the same used
+mask with the same utilities are merged, which is what saves work over
+walking every assignment. Its size limit counts its own steps: n * 2^m table
+entries plus one step per prefix per submask taken, the pair pass included.
+It refuses up front when the least that count can be is over the cap, and
+stops once the running count passes it. The engines that do walk every
+assignment are limited by the (n+1)^m count.
+
+Every criterion's key depends only on the sorted utilities, so the optimum
+search scores each sorted vector once and keeps all of its permutations.
 """
 
 from __future__ import annotations
@@ -85,15 +91,21 @@ def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
 
 
 def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
-    """Distinct utility vectors over all complete allocations, by subset DP."""
+    """Distinct utility vectors over all complete allocations, by subset DP.
+
+    Agents 1 .. n-2 take layers of submasks; the last two share one pair pass
+    per used mask, so no layer is kept for agent n - 1.
+    """
     _check_cap(_least_dp_steps(instance), "subset DP steps")
     n, m = instance.n, instance.m
     full = (1 << m) - 1
     tables = [bundle_value_table(instance.valuation(i)) for i in instance.agents]
+    if n == 1:
+        return {(tables[0][full],)}
     steps = n << m
     # used-goods mask -> distinct utility prefixes of the agents served so far
     layer: dict[int, set[tuple[int, ...]]] = {0: {()}}
-    for table in tables[:-1]:
+    for table in tables[:-2]:
         grown: dict[int, set[tuple[int, ...]]] = {}
         for used, prefixes in layer.items():
             rest = full ^ used
@@ -109,12 +121,21 @@ def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
                     break
                 s = (s - 1) & rest
         layer = grown
-    last = tables[-1]
-    return {
-        prefix + (last[full ^ used],)
-        for used, prefixes in layer.items()
-        for prefix in prefixes
-    }
+    second, last = tables[-2:]
+    vectors: set[tuple[int, ...]] = set()
+    for used, prefixes in layer.items():
+        rest = full ^ used
+        steps += len(prefixes) << rest.bit_count()
+        _check_cap(steps, "subset DP steps")
+        pairs = set()
+        s = rest
+        while True:
+            pairs.add((second[s], last[rest ^ s]))
+            if not s:
+                break
+            s = (s - 1) & rest
+        vectors.update(prefix + pair for prefix in prefixes for pair in pairs)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -146,24 +167,45 @@ def _optimum_of(
     criterion: Criterion,
     vectors: set[tuple[int, ...]],
 ) -> BruteForceResult:
+    """Criterion optimum over ``vectors``, one key per sorted vector."""
+    return _best_groups(criterion, _sorted_groups(vectors))
+
+
+def _sorted_groups(
+    vectors: set[tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The vectors grouped by their sorted utilities, in ascending order."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for vec in vectors:
+        groups.setdefault(tuple(sorted(vec)), []).append(vec)
+    return sorted(groups.items())
+
+
+def _best_groups(
+    criterion: Criterion,
+    groups: list[tuple[tuple[int, ...], list[tuple[int, ...]]]],
+) -> BruteForceResult:
+    """Scores each sorted vector once; a group that wins or ties brings every
+    permutation of it into the optima."""
     best = None
     ties: set[tuple[int, ...]] = set()
-    for vec in sorted(vectors):
-        key = criterion.key(vec)
+    for sorted_vec, vecs in groups:
+        key = criterion.key(sorted_vec)
         order = 1 if best is None else criterion.compare_keys(key, best)
         if order > 0:
-            best, ties = key, {vec}
+            best, ties = key, set(vecs)
         elif order == 0:
-            ties.add(vec)
+            ties.update(vecs)
     return BruteForceResult(frozenset(ties))
 
 
 def brute_force_optima(
     instance: Instance, criteria: Sequence[Criterion]
 ) -> list[BruteForceResult]:
-    """One enumeration of utility vectors shared across several criteria."""
-    vectors = _all_utility_vectors(instance)
-    return [_optimum_of(instance, criterion, vectors) for criterion in criteria]
+    """One enumeration and one grouping of utility vectors shared across
+    several criteria."""
+    groups = _sorted_groups(_all_utility_vectors(instance))
+    return [_best_groups(criterion, groups) for criterion in criteria]
 
 
 def enumerate_decompositions(

@@ -114,7 +114,9 @@ class Criterion:
 
         ``compare`` is derived from it. It must be strictly monotone: raising
         one agent's utility, the rest unchanged, gives a strictly better key.
-        Brute force relies on this to search complete allocations only.
+        Brute force relies on this to search complete allocations only. It
+        must depend only on the sorted utilities (every criterion here is
+        anonymous), so brute force scores one permutation per sorted vector.
         """
         raise NotImplementedError
 

@@ -119,8 +119,17 @@ class PartitionMatroid(Matroid):
         object.__setattr__(self, "_part_of", part_of)
 
     def rank(self, goods: AbstractSet[int]) -> int:
-        return sum(min(len(part.intersection(goods)), cap)
-                   for part, cap in zip(self.parts, self.caps))
+        """Per part, the goods given in it up to its cap: O(|goods|)."""
+        part_of, counts = self._part_of, {}
+        for g in goods:
+            idx = part_of.get(g)
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + 1
+        total = 0
+        for idx, count in counts.items():
+            cap = self.caps[idx]
+            total += count if count < cap else cap
+        return total
 
     def rank_table(self) -> list[int]:
         table = [0]

@@ -167,11 +167,12 @@ def ladder_instance(n: int = 30, block: int = 10, m: int = 60, c: int = 3) -> In
     return Instance(goods, c, tuple(valuations))
 
 
-def all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
+def all_utility_vectors(instance: Instance, pool: bool = True) -> set[tuple[int, ...]]:
     """Utility vector of every assignment of goods to the pool or an agent.
 
     Walks all (n+1)^m assignments with bundle values from ``brute_value``:
     the plain enumeration that the library's subset DP must agree with.
+    With ``pool=False`` it walks the n^m complete assignments only.
     """
     n, m = instance.n, instance.m
     subsets = [frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m)]
@@ -179,7 +180,7 @@ def all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
         [brute_value(instance.valuation(i), s) for s in subsets] for i in instance.agents
     ]
     vectors = set()
-    for owners in itertools.product(range(n + 1), repeat=m):
+    for owners in itertools.product(range(0 if pool else 1, n + 1), repeat=m):
         masks = [0] * (n + 1)
         for g, owner in enumerate(owners):
             masks[owner] |= 1 << g

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import bifair.oracle
 from bifair.allocation import Allocation
 from bifair.audit import (
     MNW_MMS_THRESHOLD,
@@ -170,12 +171,23 @@ class TestMms:
         assert at_ceiling and below
 
     def test_size_limits(self):
-        # The DP takes (n - 2)(3^m - 1)/2 + 2^(m-1) steps against the
-        # oracle's enumeration cap.
+        # The DP takes (n - 2)(3^(m-1) - 1)/2 + 2^(m-1) steps against the
+        # oracle's enumeration cap: about 7.2M at n = 3, m = 16, and 21.6M
+        # at m = 17.
         assert mms(_identical_additive_instance(2, 5, 5), 1) == 2
         assert mms(_identical_additive_instance(2, 14, 3), 1) == 8
         with pytest.raises(SizeLimitError, match=str(ENUMERATION_CAP)):
-            mms(_identical_additive_instance(2, 16, 3), 1)
+            mms(_identical_additive_instance(2, 17, 3), 1)
+
+    def test_step_count_is_exact(self, monkeypatch):
+        # n = 4, m = 6: 2 * (3^5 - 1)/2 + 2^5 = 274 steps.
+        instance = random_instance("partition", 4, 6, 3, random.Random("mms-count"))
+        expected = _brute_mms(instance, 1)
+        monkeypatch.setattr(bifair.oracle, "ENUMERATION_CAP", 274)
+        assert mms(instance, 1) == expected
+        monkeypatch.setattr(bifair.oracle, "ENUMERATION_CAP", 273)
+        with pytest.raises(SizeLimitError, match="274 maximin-share DP steps"):
+            mms(instance, 1)
 
     def test_unknown_agent(self):
         instance = _identical_additive_instance(2, 3, 2)

@@ -335,7 +335,7 @@ class TestCli:
         assert "0 mismatches" in capsys.readouterr().out
 
     def test_audit_size_limit_surfaces(self, tmp_path, capsys):
-        # Five agents run; n = 3, m = 16 is over the DP's step cap.
+        # Five agents run; n = 3, m = 17 is over the DP's step cap.
         inst = tmp_path / "inst.json"
         alloc = tmp_path / "alloc.json"
         main(["gen", "--family", "partition", "--n", "5", "--m", "8",
@@ -344,7 +344,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["audit", str(inst), str(alloc), "--mms", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["mms"]) == 5
-        main(["gen", "--family", "marked", "--n", "3", "--m", "16",
+        main(["gen", "--family", "marked", "--n", "3", "--m", "17",
               "--c", "2", "--seed", "1", "-o", str(inst)])
         main(["solve", str(inst), "-o", str(alloc)])
         capsys.readouterr()

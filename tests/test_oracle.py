@@ -15,6 +15,7 @@ from bifair.allocation import (
 from bifair.errors import SizeLimitError
 from bifair.io import random_instance
 from bifair.oracle import (
+    _all_utility_vectors,
     _optimum_of,
     brute_force_optima,
     brute_force_optimum,
@@ -28,7 +29,12 @@ from bifair.solver import (
     PMeanWelfare,
     solve,
 )
-from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid
+from bifair.valuation import (
+    BivaluedValuation,
+    ExplicitMatroid,
+    Instance,
+    MarkedMatroid,
+)
 from conftest import two_agent_instance
 from helpers import all_utility_vectors
 
@@ -117,6 +123,63 @@ class TestBruteForceOptimum:
             for criterion, result in zip(criteria, optima):
                 expected = _optimum_of(instance, criterion, vectors).optimal_vectors
                 assert result.optimal_vectors == expected, (family, n, m, criterion.name)
+
+
+def _optimum_per_vector(criterion, vectors):
+    """Reference scoring: one key per vector, in ascending vector order."""
+    best = None
+    ties: set[tuple[int, ...]] = set()
+    for vec in sorted(vectors):
+        key = criterion.key(vec)
+        order = 1 if best is None else criterion.compare_keys(key, best)
+        if order > 0:
+            best, ties = key, {vec}
+        elif order == 0:
+            ties.add(vec)
+    return frozenset(ties)
+
+
+class TestDpAndScoring:
+    """The pair pass and the per-sorted-vector scoring keep their answers."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dp_vectors_match_complete_assignments(self, family):
+        rng = random.Random(f"pair-pass:{family}")
+        for n in range(1, 5):
+            for m in range(7):
+                instance = random_instance(family, n, m, rng.choice([2, 3]), rng)
+                assert _all_utility_vectors(instance) == all_utility_vectors(
+                    instance, pool=False
+                ), (family, n, m)
+
+    def test_dp_vectors_match_on_an_explicit_table(self):
+        rng = random.Random("pair-pass:explicit")
+        matroid = random_instance("transversal", 1, 5, 2, rng).valuation(1).matroid
+        explicit = BivaluedValuation(3, ExplicitMatroid(5, tuple(matroid.rank_table())))
+        marked = BivaluedValuation(3, MarkedMatroid(5, frozenset({0, 2, 4})))
+        goods = tuple(f"g{g}" for g in range(5))
+        for valuations in ((explicit,), (explicit, marked), (marked, explicit, explicit),
+                           (explicit, marked, explicit, marked)):
+            instance = Instance(goods, 3, valuations)
+            assert _all_utility_vectors(instance) == all_utility_vectors(
+                instance, pool=False
+            ), len(valuations)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_scoring_matches_per_vector_loop(self, family):
+        rng = random.Random(f"scoring:{family}")
+        for n, m in ((1, 4), (2, 5), (3, 4), (3, 6), (4, 4)):
+            c = rng.choice([2, 3])
+            instance = random_instance(family, n, m, c, rng)
+            criteria = [
+                MaxNashWelfare(), Leximin(c), PMeanWelfare(-1.0), PMeanWelfare(0.5),
+                PMeanWelfare(-20.0), PMeanWelfare(-1000.0),
+            ]
+            for vectors in (_all_utility_vectors(instance), all_utility_vectors(instance)):
+                for criterion in criteria:
+                    assert _optimum_of(instance, criterion, vectors).optimal_vectors == (
+                        _optimum_per_vector(criterion, vectors)
+                    ), (family, n, m, criterion.name)
 
 
 class TestBruteForceSizeLimit:

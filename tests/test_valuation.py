@@ -56,6 +56,23 @@ class TestRank:
         assert brute_rank(matroid, subset) == 2
         assert matroid.rank(subset) == 2
 
+    def test_partition_rank_matches_per_part_formula(self):
+        # Parts leave some goods uncovered, and the subsets also hold goods
+        # outside the ground set: neither kind adds rank.
+        rng = random.Random("partition-rank")
+        for _ in range(200):
+            m = rng.randint(0, 12)
+            labels = [rng.randrange(-1, 4) for _ in range(m)]
+            parts = tuple(
+                frozenset(g for g in range(m) if labels[g] == idx) for idx in range(4)
+            )
+            caps = tuple(rng.randint(0, 3) for _ in parts)
+            matroid = PartitionMatroid(m, parts, caps)
+            subset = frozenset(g for g in range(-2, m + 3) if rng.random() < 0.5)
+            expected = sum(min(len(part & subset), cap) for part, cap in zip(parts, caps))
+            assert matroid.rank(subset) == expected, (parts, caps, subset)
+        assert PartitionMatroid(3, (frozenset({0, 1}),), (1,)).rank({2, 5, -1}) == 0
+
     def test_transversal_rank_is_max_matching(self):
         # Goods 0 and 1 compete for slot 0; good 2 can take either slot.
         matroid = TransversalMatroid(
