@@ -23,7 +23,7 @@ _EXPORTS = {
                "PreconditionError", "SizeLimitError", "UnsupportedCriterionError",
                "ValidationError"),
     "io": ("load_instance", "parse_instance", "random_instance"),
-    "oracle": ("brute_force_optimum", "certify_dominating", "enumerate_allocations"),
+    "oracle": ("brute_force_optimum", "certify_dominating"),
     "solver": ("Criterion", "Leximin", "MaxNashWelfare", "PMeanWelfare", "SolveResult",
                "compare_gains", "make_criterion", "solve"),
     "valuation": ("BivaluedValuation", "ExplicitMatroid", "Instance", "MarkedMatroid",

@@ -107,11 +107,6 @@ def sorted_utility_vector(instance: Instance, allocation: Allocation) -> tuple[i
     return tuple(sorted(utility_vector(instance, allocation)))
 
 
-def clean_utility_vector(instance: Instance, decomposition: Decomposition) -> tuple[int, ...]:
-    """Utilities of the clean bundles alone: ``c * |clean_i|`` per agent."""
-    return tuple(instance.c * len(decomposition.clean[i]) for i in instance.agents)
-
-
 def compare_lex(x: Sequence, y: Sequence) -> int:
     """First-differing-coordinate order; -1, 0 or 1."""
     if len(x) != len(y):
@@ -122,29 +117,23 @@ def compare_lex(x: Sequence, y: Sequence) -> int:
     return 0
 
 
-def compare_domination(
-    instance: Instance,
-    x: tuple[Allocation, Decomposition],
-    y: tuple[Allocation, Decomposition],
-) -> str:
-    """Three-stage comparison of decomposed allocations.
+def compare_domination(x: Sequence[tuple[int, int]], y: Sequence[tuple[int, int]]) -> str:
+    """Three-stage order on each agent's ``(clean size, utility)`` pair.
 
-    Sorted clean utilities decide first, then clean utilities agent by
-    agent, then full utilities agent by agent. Returns ``"dominates"`` when
-    ``x`` beats ``y``, ``"dominated"`` for the reverse, and
-    ``"incomparable-equal"`` when all three stages tie.
+    Sorted clean sizes decide first, then clean sizes agent by agent, then
+    utilities agent by agent. Every valid decomposition of a bundle has a
+    clean part of size rank_i(X_i), so the verdict does not depend on which
+    decompositions were picked. Returns ``"dominates"`` when ``x`` beats
+    ``y``, ``"dominated"`` for the reverse, and ``"incomparable-equal"``
+    when all three stages tie.
     """
-    x_alloc, x_dec = x
-    y_alloc, y_dec = y
-    x_clean = clean_utility_vector(instance, x_dec)
-    y_clean = clean_utility_vector(instance, y_dec)
+    x_clean = [size for size, _ in x]
+    y_clean = [size for size, _ in y]
     order = compare_lex(sorted(x_clean), sorted(y_clean))
     if order == 0:
         order = compare_lex(x_clean, y_clean)
     if order == 0:
-        order = compare_lex(
-            utility_vector(instance, x_alloc), utility_vector(instance, y_alloc)
-        )
+        order = compare_lex([u for _, u in x], [u for _, u in y])
     if order > 0:
         return DOMINATES
     if order < 0:

@@ -11,20 +11,16 @@ never an optimum and dropping the pool loses nothing; the solver returns
 complete allocations anyway. (P-mean's log tie tolerance can let a
 dominated vector tie an optimum, but it is never an exact one.)
 
-The distinct utility vectors come from a DP over used-goods bitmasks, on
-per-agent bundle value tables: each agent but the last two in turn takes
-every subset of the goods still free. Then one pair pass per used mask
-splits the free goods between the last two agents, every subset S to the
-second-to-last and the rest to the last, collects the distinct value pairs
-and joins them to the mask's prefixes. The tables come from each matroid's
-``rank_table``, which explicit matroids store and the other families build
-in closed form, so no table asks ``rank``. Prefixes that reach the same used
-mask with the same utilities are merged, which is what saves work over
-walking every assignment. Its size limit counts its own steps: n * 2^m table
-entries plus one step per prefix per submask taken, the pair pass included.
-It refuses up front when the least that count can be is over the cap, and
-stops once the running count passes it. The engines that do walk every
-assignment are limited by the (n+1)^m count.
+The distinct vectors come from a DP over used-goods bitmasks, on per-agent
+tables built from each matroid's ``rank_table``: bundle values for brute
+force, (rank, value) pairs for certification. Each agent but the last two in
+turn takes every subset of the goods still free; then one pair pass per used
+mask splits the free goods between the last two agents and joins their
+distinct entry pairs to the mask's prefixes. Prefixes that reach the same
+used mask with the same entries merge. Its size limit counts its own steps:
+n * 2^m table entries plus one per prefix per submask taken, the pair pass
+included. It refuses up front when the least that count can be is over the
+cap, and stops once the running count passes it.
 
 Every criterion's key depends only on the sorted utilities, so the optimum
 search scores each sorted vector once and keeps all of its permutations.
@@ -32,23 +28,15 @@ search scores each sorted vector once and keeps all of its permutations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
-from .allocation import (
-    DOMINATES,
-    Allocation,
-    Decomposition,
-    compare_domination,
-    utility_vector,
-)
+from .allocation import DOMINATES, compare_domination, utility_vector
 from .errors import SizeLimitError
 from .solver import Criterion, SolveResult
-from .valuation import Instance, bundle_value_table
+from .valuation import BivaluedValuation, Instance, bundle_value_table
 
 ENUMERATION_CAP = 10**7
-CERTIFY_MAX_GOODS = 6
 
 
 def _check_cap(total: int, what: str) -> None:
@@ -56,10 +44,6 @@ def _check_cap(total: int, what: str) -> None:
         raise SizeLimitError(
             f"{total} {what} exceed the {ENUMERATION_CAP} enumeration cap"
         )
-
-
-def _check_assignments(instance: Instance) -> None:
-    _check_cap((instance.n + 1) ** instance.m, "assignments")
 
 
 def _least_dp_steps(instance: Instance) -> int:
@@ -75,23 +59,22 @@ def _least_dp_steps(instance: Instance) -> int:
     return (n + 1) * 2**m + (n - 2) * 3**m
 
 
-def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
-    """Every assignment of goods to the pool or an agent, in mixed-radix order.
-
-    Good g is the g-th digit, base n+1, least significant last; digit value
-    is the receiving bundle index.
-    """
-    _check_assignments(instance)
-    n, m = instance.n, instance.m
-    for digits in itertools.product(range(n + 1), repeat=m):
-        bundles: list[set[int]] = [set() for _ in range(n + 1)]
-        for g, owner in enumerate(digits):
-            bundles[owner].add(g)
-        yield Allocation(tuple(frozenset(b) for b in bundles))
-
-
 def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
-    """Distinct utility vectors over all complete allocations, by subset DP.
+    """Distinct utility vectors over all complete allocations."""
+    return _all_vectors(instance, bundle_value_table)
+
+
+def _rank_value_table(valuation: BivaluedValuation) -> list[tuple[int, int]]:
+    """``(rank, value)`` of every subset, indexed by bitmask; with c >= 2 each
+    value v(S) = |S| + (c - 1) * rank(S) gives back its rank."""
+    high = valuation.c - 1
+    return [((value - mask.bit_count()) // high, value)
+            for mask, value in enumerate(bundle_value_table(valuation))]
+
+
+def _all_vectors(instance: Instance, table_of: Callable) -> set[tuple]:
+    """Distinct vectors of per-agent table entries over all complete
+    allocations, by subset DP.
 
     Agents 1 .. n-2 take layers of submasks; the last two share one pair pass
     per used mask, so no layer is kept for agent n - 1.
@@ -99,14 +82,14 @@ def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
     _check_cap(_least_dp_steps(instance), "subset DP steps")
     n, m = instance.n, instance.m
     full = (1 << m) - 1
-    tables = [bundle_value_table(instance.valuation(i)) for i in instance.agents]
+    tables = [table_of(instance.valuation(i)) for i in instance.agents]
     if n == 1:
         return {(tables[0][full],)}
     steps = n << m
-    # used-goods mask -> distinct utility prefixes of the agents served so far
-    layer: dict[int, set[tuple[int, ...]]] = {0: {()}}
+    # used-goods mask -> distinct entry prefixes of the agents served so far
+    layer: dict[int, set[tuple]] = {0: {()}}
     for table in tables[:-2]:
-        grown: dict[int, set[tuple[int, ...]]] = {}
+        grown: dict[int, set[tuple]] = {}
         for used, prefixes in layer.items():
             rest = full ^ used
             steps += len(prefixes) << rest.bit_count()
@@ -122,7 +105,7 @@ def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
                 s = (s - 1) & rest
         layer = grown
     second, last = tables[-2:]
-    vectors: set[tuple[int, ...]] = set()
+    vectors: set[tuple] = set()
     for used, prefixes in layer.items():
         rest = full ^ used
         steps += len(prefixes) << rest.bit_count()
@@ -208,34 +191,6 @@ def brute_force_optima(
     return [_best_groups(criterion, groups) for criterion in criteria]
 
 
-def enumerate_decompositions(
-    instance: Instance, allocation: Allocation
-) -> Iterator[Decomposition]:
-    """Every valid clean/supplementary split of an allocation.
-
-    Per agent, every maximum-size clean subset of the bundle is a valid
-    clean part; the decompositions are their cartesian product.
-    """
-    per_agent: list[list[frozenset[int]]] = []
-    for i in instance.agents:
-        bundle = sorted(allocation.bundle(i))
-        valuation = instance.valuation(i)
-        target = valuation.rank(frozenset(bundle))
-        options = [
-            frozenset(combo)
-            for combo in itertools.combinations(bundle, target)
-            if valuation.is_clean(frozenset(combo))
-        ]
-        per_agent.append(options)
-    everything = frozenset(range(instance.m))
-    for choice in itertools.product(*per_agent):
-        clean = (everything.difference(*choice),) + choice
-        supplementary = (frozenset(),) + tuple(
-            allocation.bundle(i) - choice[i - 1] for i in instance.agents
-        )
-        yield Decomposition(clean, supplementary)
-
-
 @dataclass(frozen=True)
 class CertificationVerdict:
     ok: bool
@@ -249,38 +204,27 @@ def certify_dominating(
 ) -> CertificationVerdict:
     """Certify a solver output as an undominated criterion optimum.
 
-    Confirms the output's utility vector is criterion-optimal, then checks
-    that no other optimal allocation, under any of its valid decompositions,
-    beats the output under the three-stage domination order. Exhaustive in
-    both allocations and decompositions, hence the tight size cap.
+    No complete allocation may beat the output's key, nor tie it and
+    dominate the output under the three-stage order. Every valid
+    decomposition gives agent i a clean part of size rank_i(X_i), so the
+    order reads only the pairs (rank_i(X_i), v_i(X_i)) and no decomposition
+    is enumerated; the subset DP yields every distinct pair vector. A rival
+    that leaves a good in the pool needs no check: handing the good to an
+    agent lowers neither its key nor any stage of the order. The output is
+    compared by the clean sizes of its given decomposition.
     """
-    if instance.m > CERTIFY_MAX_GOODS:
-        raise SizeLimitError(
-            f"certification enumerates decompositions and is limited to "
-            f"m <= {CERTIFY_MAX_GOODS} goods"
-        )
-    _check_assignments(instance)
+    pair_vectors = _all_vectors(instance, _rank_value_table)
     criterion = criterion.bind(instance)
     own_utilities = utility_vector(instance, result.allocation)
     own_key = criterion.key(own_utilities)
-    own = (result.allocation, result.decomposition)
-    for other in enumerate_allocations(instance):
-        other_utilities = utility_vector(instance, other)
-        order = criterion.compare_keys(criterion.key(other_utilities), own_key)
+    own = tuple(zip(map(len, result.decomposition.clean[1:]), own_utilities))
+    for pairs in pair_vectors:
+        utilities = tuple(u for _, u in pairs)
+        order = criterion.compare_keys(criterion.key(utilities), own_key)
         if order > 0:
-            return CertificationVerdict(
-                False,
-                f"allocation with utilities {other_utilities} beats the "
-                f"output's {own_utilities}",
-            )
-        if order < 0 or other.bundles == result.allocation.bundles:
-            continue
-        for decomposition in enumerate_decompositions(instance, other):
-            verdict = compare_domination(instance, (other, decomposition), own)
-            if verdict == DOMINATES:
-                return CertificationVerdict(
-                    False,
-                    f"optimal allocation {sorted(map(sorted, other.bundles))} "
-                    f"dominates the output",
-                )
+            return CertificationVerdict(False, f"allocation with utilities {utilities} "
+                                               f"beats the output's {own_utilities}")
+        if order == 0 and compare_domination(pairs, own) == DOMINATES:
+            return CertificationVerdict(False, f"optimal allocation with (clean size, "
+                                               f"utility) pairs {pairs} dominates the output")
     return CertificationVerdict(True, "optimal and undominated")

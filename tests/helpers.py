@@ -218,3 +218,58 @@ def pmean_optima(instance: Instance, p: float) -> set[tuple[int, ...]]:
         keys = {vector: key(vector) for vector in vectors}
     best = max(keys.values())
     return {vector for vector, k in keys.items() if k == best}
+
+
+def maximum_independent_subsets(matroid: Matroid, bundle: frozenset[int]) -> list[frozenset[int]]:
+    """Every largest subset of ``bundle`` that ``is_independent`` accepts."""
+    size = brute_rank(matroid, bundle)
+    return [
+        frozenset(combo)
+        for combo in itertools.combinations(sorted(bundle), size)
+        if is_independent(matroid, frozenset(combo))
+    ]
+
+
+def certify_reference(instance: Instance, result, criterion) -> str | None:
+    """Why a solver output is not an undominated optimum, from the definitions.
+
+    Walks all (n+1)^m assignments, pool included, with bundle values from
+    ``brute_value``. Returns ``"beaten"`` if some assignment's key beats the
+    output's. Otherwise returns ``"dominated"`` if some assignment ties the
+    output's key and one of its decompositions beats the output's under the
+    three-stage order: sorted clean utilities, then clean utilities agent by
+    agent, then utilities agent by agent. A decomposition takes, per agent,
+    any of ``maximum_independent_subsets`` of the bundle as its clean part.
+    Returns None when neither happens.
+    """
+    n, m, c = instance.n, instance.m, instance.c
+    criterion = criterion.bind(instance)
+    subsets = [frozenset(g for g in range(m) if mask >> g & 1) for mask in range(1 << m)]
+    valuations = [instance.valuation(i) for i in instance.agents]
+    values = [[brute_value(v, s) for s in subsets] for v in valuations]
+    cleans = [
+        [maximum_independent_subsets(v.matroid, s) for s in subsets] for v in valuations
+    ]
+    own_utilities = tuple(
+        brute_value(v, result.allocation.bundle(i)) for i, v in enumerate(valuations, 1)
+    )
+    own_clean = tuple(c * len(result.decomposition.clean[i]) for i in instance.agents)
+    own_order = (sorted(own_clean), own_clean, own_utilities)
+    own_key = criterion.key(own_utilities)
+    dominated = False
+    for owners in itertools.product(range(n + 1), repeat=m):
+        masks = [0] * (n + 1)
+        for g, owner in enumerate(owners):
+            masks[owner] |= 1 << g
+        utilities = tuple(values[i][masks[i + 1]] for i in range(n))
+        order = criterion.compare_keys(criterion.key(utilities), own_key)
+        if order > 0:
+            return "beaten"
+        if order < 0 or dominated:
+            continue
+        for parts in itertools.product(*(cleans[i][masks[i + 1]] for i in range(n))):
+            clean = tuple(c * len(part) for part in parts)
+            if (sorted(clean), clean, utilities) > own_order:
+                dominated = True
+                break
+    return "dominated" if dominated else None

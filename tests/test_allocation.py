@@ -118,21 +118,24 @@ class TestCompareLex:
 class TestDomination:
     @staticmethod
     def _decomposed(instance, bundles):
+        """Each agent's (clean size, utility) pair under the greedy decomposition."""
         allocation = Allocation.from_bundles(instance, bundles)
-        return allocation, decompose(instance, allocation)
+        clean = decompose(instance, allocation).clean
+        utilities = utility_vector(instance, allocation)
+        return [(len(clean[i]), u) for i, u in zip(instance.agents, utilities)]
 
     def test_sorted_clean_vector_decides(self):
         instance = two_agent_instance(2, m=3)
         # Sorted clean utilities (0, 2c) vs (0, c): more clean value wins.
         x = self._decomposed(instance, [set(), {0}, {1, 2}])
         y = self._decomposed(instance, [{2}, {0}, {1}])
-        assert compare_domination(instance, x, y) == DOMINATES
-        assert compare_domination(instance, y, x) == DOMINATED
+        assert compare_domination(x, y) == DOMINATES
+        assert compare_domination(y, x) == DOMINATED
 
     def test_identical_decompositions_tie(self):
         instance = two_agent_instance(2, m=3)
         x = self._decomposed(instance, [set(), {0}, {1, 2}])
-        assert compare_domination(instance, x, x) == INCOMPARABLE_EQUAL
+        assert compare_domination(x, x) == INCOMPARABLE_EQUAL
 
     def test_agentwise_clean_vector_breaks_sorted_ties(self):
         goods = ("g1", "g2", "g3")
@@ -141,14 +144,13 @@ class TestDomination:
         # Clean utilities (2c, c) vs (c, 2c): same sorted vector, first wins.
         x = self._decomposed(instance, [set(), {0, 1}, {2}])
         y = self._decomposed(instance, [set(), {0}, {1, 2}])
-        assert compare_domination(instance, x, y) == DOMINATES
+        assert compare_domination(x, y) == DOMINATES
 
     def test_full_utilities_break_clean_ties(self):
         instance = two_agent_instance(2, m=3)
         # Agent 1 never sees high value, so clean vectors tie at (0, 2c);
         # the leftover low-value good then decides.
         x = self._decomposed(instance, [{2}, set(), {0, 1}])
-        y_alloc = Allocation.from_bundles(instance, [set(), {2}, {0, 1}])
-        y = (y_alloc, decompose(instance, y_alloc))
-        assert compare_domination(instance, y, x) == DOMINATES
-        assert compare_domination(instance, x, y) == DOMINATED
+        y = self._decomposed(instance, [set(), {2}, {0, 1}])
+        assert compare_domination(y, x) == DOMINATES
+        assert compare_domination(x, y) == DOMINATED

@@ -6,12 +6,7 @@ import random
 import pytest
 
 import bifair.oracle
-from bifair.allocation import (
-    INCOMPARABLE_EQUAL,
-    Allocation,
-    compare_domination,
-    utility_vector,
-)
+from bifair.allocation import Allocation, decompose, utility_vector
 from bifair.errors import SizeLimitError
 from bifair.io import random_instance
 from bifair.oracle import (
@@ -20,13 +15,13 @@ from bifair.oracle import (
     brute_force_optima,
     brute_force_optimum,
     certify_dominating,
-    enumerate_allocations,
-    enumerate_decompositions,
 )
 from bifair.solver import (
     Leximin,
     MaxNashWelfare,
     PMeanWelfare,
+    SolveResult,
+    SolveTrace,
     solve,
 )
 from bifair.valuation import (
@@ -36,27 +31,9 @@ from bifair.valuation import (
     MarkedMatroid,
 )
 from conftest import two_agent_instance
-from helpers import all_utility_vectors
+from helpers import all_utility_vectors, certify_reference
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
-
-
-class TestEnumeration:
-    def test_counts(self):
-        one = random_instance("marked", 1, 2, 2, 0)
-        assert sum(1 for _ in enumerate_allocations(one)) == 4
-        two = random_instance("marked", 2, 3, 2, 0)
-        assert sum(1 for _ in enumerate_allocations(two)) == 27
-
-    def test_stream_is_duplicate_free_and_complete(self):
-        instance = random_instance("uniform", 2, 4, 2, 1)
-        seen = {a.bundles for a in enumerate_allocations(instance)}
-        assert len(seen) == 3**4
-
-    def test_cap_enforced(self):
-        instance = random_instance("marked", 9, 8, 2, 2)
-        with pytest.raises(SizeLimitError):
-            next(enumerate_allocations(instance))
 
 
 class TestBruteForceOptimum:
@@ -92,8 +69,7 @@ class TestBruteForceOptimum:
             optimum = brute_force_optimum(instance, MaxNashWelfare())
             best_key = (-1, -math.inf)
             best_vectors: set[tuple[int, ...]] = set()
-            for allocation in enumerate_allocations(instance):
-                vec = utility_vector(instance, allocation)
+            for vec in all_utility_vectors(instance):
                 positives = [u for u in vec if u > 0]
                 key = (len(positives), sum(math.log(u) for u in positives))
                 if key[0] > best_key[0] or (
@@ -212,48 +188,6 @@ class TestBruteForceSizeLimit:
             brute_force_optima(instance, [Leximin(3)])
 
 
-class TestDecompositionEnumeration:
-    def test_every_split_is_valid(self):
-        rng = random.Random(81)
-        for trial in range(30):
-            family = FAMILIES[trial % len(FAMILIES)]
-            instance = random_instance(family, 2, 5, 2, rng)
-            bundles = [set() for _ in range(3)]
-            for g in range(5):
-                bundles[rng.randint(0, 2)].add(g)
-            allocation = Allocation.from_bundles(instance, bundles)
-            count = 0
-            for dec in enumerate_decompositions(instance, allocation):
-                count += 1
-                assert dec.union().bundles == allocation.bundles
-                for i in instance.agents:
-                    assert len(dec.clean[i]) == instance.valuation(i).rank(
-                        allocation.bundle(i)
-                    )
-                    assert instance.valuation(i).is_clean(dec.clean[i])
-            assert count >= 1
-
-    def test_domination_is_decomposition_invariant(self):
-        # All valid decompositions share clean-part sizes, so the verdict
-        # cannot depend on which one was picked; spot-check that anyway.
-        rng = random.Random(83)
-        for trial in range(15):
-            family = FAMILIES[trial % len(FAMILIES)]
-            instance = random_instance(family, 2, 4, 2, rng)
-            allocs = []
-            for _ in range(2):
-                bundles = [set() for _ in range(3)]
-                for g in range(4):
-                    bundles[rng.randint(0, 2)].add(g)
-                allocs.append(Allocation.from_bundles(instance, bundles))
-            verdicts = {
-                compare_domination(instance, (allocs[0], da), (allocs[1], db))
-                for da in enumerate_decompositions(instance, allocs[0])
-                for db in enumerate_decompositions(instance, allocs[1])
-            }
-            assert len(verdicts) == 1
-
-
 class TestCertifyDominating:
     def test_worked_example_certified(self):
         instance = two_agent_instance(3)
@@ -277,9 +211,6 @@ class TestCertifyDominating:
         criterion = MaxNashWelfare()
         good = solve(instance, criterion)
         # Hand everything to agent 1: clearly not Nash-optimal.
-        from bifair.allocation import decompose
-        from bifair.solver import SolveResult, SolveTrace
-
         bad_alloc = Allocation.from_bundles(
             instance, [set(), set(range(6)), set()]
         )
@@ -292,11 +223,56 @@ class TestCertifyDominating:
         assert certify_dominating(instance, good, criterion).ok
         assert not certify_dominating(instance, bad, criterion).ok
 
-    def test_size_cap(self):
-        instance = random_instance("marked", 2, 7, 2, 5)
+    def test_ten_goods_certified(self):
+        # Ten goods, past the reach of a walk over every assignment.
+        instance = random_instance("partition", 3, 10, 3, random.Random("certify:3x10"))
+        for criterion in (MaxNashWelfare(), Leximin(3), PMeanWelfare(-1.0)):
+            verdict = certify_dominating(instance, solve(instance, criterion), criterion)
+            assert verdict.ok, (criterion.name, verdict.reason)
+
+    def test_size_cap(self, monkeypatch):
+        # Refused on the DP's step count, before any table is built.
+        instance = random_instance("marked", 4, 16, 3, random.Random("cap:4x16"))
         result = solve(instance, MaxNashWelfare())
-        with pytest.raises(SizeLimitError):
+
+        def no_table(*args):
+            raise AssertionError("built a value table past the cap")
+
+        monkeypatch.setattr(bifair.oracle, "bundle_value_table", no_table)
+        with pytest.raises(SizeLimitError, match="subset DP steps"):
             certify_dominating(instance, result, MaxNashWelfare())
+
+
+class TestCertifierAgainstReference:
+    """The certifier's verdicts equal a walk over every assignment and every
+    decomposition, written from the definitions."""
+
+    def test_verdicts_match_the_definition(self):
+        rng = random.Random("certify-reference")
+        verdicts: dict[str | None, int] = {None: 0, "beaten": 0, "dominated": 0}
+        for trial in range(130):
+            family = FAMILIES[trial % len(FAMILIES)]
+            n, m = rng.randint(1, 3), rng.randint(1, 5)
+            instance = random_instance(family, n, m, rng.choice([2, 3]), rng)
+            for criterion in (MaxNashWelfare(), Leximin(instance.c),
+                              PMeanWelfare(-1.0), PMeanWelfare(0.5)):
+                bundles = [set() for _ in range(n + 1)]
+                for g in range(m):
+                    bundles[rng.randint(1, n)].add(g)
+                allocation = Allocation.from_bundles(instance, bundles)
+                random_output = SolveResult(
+                    allocation, decompose(instance, allocation), SolveTrace(),
+                    utility_vector(instance, allocation),
+                )
+                for result in (solve(instance, criterion), random_output):
+                    expected = certify_reference(instance, result, criterion)
+                    verdict = certify_dominating(instance, result, criterion)
+                    assert verdict.ok == (expected is None), (
+                        family, trial, criterion.name, expected, verdict.reason
+                    )
+                    verdicts[expected] += 1
+        assert sum(verdicts.values()) >= 1000
+        assert all(verdicts.values()), verdicts
 
 
 class TestCorruptedGainIsCaught:

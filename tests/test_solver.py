@@ -357,7 +357,9 @@ class TestMetamorphic:
     At n = 10-40 and m = 40-160, far past brute force, each criterion's key
     of the solver's utilities must tie across the instance, its agents
     shuffled and its goods shuffled (by re-parsing the file with the goods
-    listed in another order).
+    listed in another order). Stating the values as ``(a, b) = (k, k * c)``
+    instead of ``c`` rescales them by a common factor, which must give the
+    same bundles.
     """
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -372,13 +374,21 @@ class TestMetamorphic:
                 parse_instance(dict(data, agents=rng.sample(data["agents"], n))),
                 parse_instance(dict(data, goods=rng.sample(data["goods"], m))),
             )
+            unscaled = {key: value for key, value in data.items() if key != "c"}
+            rescaled = [parse_instance(dict(unscaled, a=k, b=k * instance.c))
+                        for k in (2, 7, 10**6)]
             for name, p in (("mnw", None), ("leximin", None),
                             ("pmean", -1.0), ("pmean", 0.5)):
                 criterion = make_criterion(name, p).bind(instance)
-                keys = [criterion.key(solve(v, criterion).utilities) for v in variants]
+                results = [solve(v, criterion) for v in variants]
+                keys = [criterion.key(result.utilities) for result in results]
                 assert all(criterion.compare_keys(k, keys[0]) == 0 for k in keys), (
                     f"{family} n={n} m={m} {criterion.name}: keys {keys} differ"
                 )
+                for scaled in rescaled:
+                    assert solve(scaled, criterion).allocation.bundles == (
+                        results[0].allocation.bundles
+                    ), f"{family} n={n} m={m} {criterion.name}: scale {scaled.scale}"
 
 
 def test_import_and_pmean_solve_load_no_mpmath():
