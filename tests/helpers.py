@@ -12,6 +12,7 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from bifair.allocation import Allocation, Decomposition
 from bifair.valuation import (
     BivaluedValuation,
     ExplicitMatroid,
@@ -227,6 +228,28 @@ def maximum_independent_subsets(matroid: Matroid, bundle: frozenset[int]) -> lis
         frozenset(combo)
         for combo in itertools.combinations(sorted(bundle), size)
         if is_independent(matroid, frozenset(combo))
+    ]
+
+
+def all_decompositions(instance: Instance, allocation: Allocation) -> list[Decomposition]:
+    """Every clean/supplementary split of ``allocation``, from the definition.
+
+    Per agent, any of ``maximum_independent_subsets`` of the bundle is a
+    clean part; the decompositions are the cartesian product of the choices.
+    """
+    options = [
+        maximum_independent_subsets(instance.valuation(i).matroid, allocation.bundle(i))
+        for i in instance.agents
+    ]
+    everything = frozenset(range(instance.m))
+    return [
+        Decomposition(
+            (everything.difference(*choice),) + choice,
+            (frozenset(),) + tuple(
+                allocation.bundle(i) - choice[i - 1] for i in instance.agents
+            ),
+        )
+        for choice in itertools.product(*options)
     ]
 
 

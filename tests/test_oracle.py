@@ -6,7 +6,13 @@ import random
 import pytest
 
 import bifair.oracle
-from bifair.allocation import Allocation, decompose, utility_vector
+from bifair.allocation import (
+    Allocation,
+    check_decomposition,
+    compare_domination,
+    decompose,
+    utility_vector,
+)
 from bifair.errors import SizeLimitError
 from bifair.io import random_instance
 from bifair.oracle import (
@@ -31,7 +37,7 @@ from bifair.valuation import (
     MarkedMatroid,
 )
 from conftest import two_agent_instance
-from helpers import all_utility_vectors, certify_reference
+from helpers import all_decompositions, all_utility_vectors, certify_reference
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
@@ -241,6 +247,53 @@ class TestCertifyDominating:
         monkeypatch.setattr(bifair.oracle, "bundle_value_table", no_table)
         with pytest.raises(SizeLimitError, match="subset DP steps"):
             certify_dominating(instance, result, MaxNashWelfare())
+
+
+class TestDecompositionEnumeration:
+    def test_every_split_is_valid(self):
+        rng = random.Random(81)
+        for trial in range(30):
+            family = FAMILIES[trial % len(FAMILIES)]
+            instance = random_instance(family, 2, 5, 2, rng)
+            bundles = [set() for _ in range(3)]
+            for g in range(5):
+                bundles[rng.randint(0, 2)].add(g)
+            allocation = Allocation.from_bundles(instance, bundles)
+            decompositions = all_decompositions(instance, allocation)
+            for dec in decompositions:
+                assert dec.union().bundles == allocation.bundles
+                for i in instance.agents:
+                    assert len(dec.clean[i]) == instance.valuation(i).rank(
+                        allocation.bundle(i)
+                    )
+                    assert instance.valuation(i).is_clean(dec.clean[i])
+                check_decomposition(instance, allocation, dec)
+            assert decompose(instance, allocation) in decompositions
+
+    def test_domination_is_decomposition_invariant(self):
+        # All valid decompositions share clean-part sizes, so the verdict
+        # cannot depend on which one was picked; spot-check that anyway.
+        rng = random.Random(83)
+        for trial in range(15):
+            family = FAMILIES[trial % len(FAMILIES)]
+            instance = random_instance(family, 2, 4, 2, rng)
+            allocs = []
+            for _ in range(2):
+                bundles = [set() for _ in range(3)]
+                for g in range(4):
+                    bundles[rng.randint(0, 2)].add(g)
+                allocs.append(Allocation.from_bundles(instance, bundles))
+
+            def pairs(allocation, dec):
+                utilities = utility_vector(instance, allocation)
+                return [(len(dec.clean[i]), utilities[i - 1]) for i in instance.agents]
+
+            verdicts = {
+                compare_domination(pairs(allocs[0], da), pairs(allocs[1], db))
+                for da in all_decompositions(instance, allocs[0])
+                for db in all_decompositions(instance, allocs[1])
+            }
+            assert len(verdicts) == 1
 
 
 class TestCertifierAgainstReference:
