@@ -9,10 +9,10 @@ scans goods in ascending id order so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ValidationError
+from .record import Record
 from .valuation import GoodSet, Instance
 
 DOMINATES = "dominates"
@@ -20,11 +20,13 @@ DOMINATED = "dominated"
 INCOMPARABLE_EQUAL = "incomparable-equal"
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """Bundles indexed 0..n; bundle 0 is the unallocated pool."""
 
-    bundles: tuple[GoodSet, ...]
+    __slots__ = _fields = ("bundles",)
+
+    def __init__(self, bundles: tuple[GoodSet, ...]) -> None:
+        self._setslots(bundles)
 
     @property
     def n(self) -> int:
@@ -51,8 +53,7 @@ class Allocation:
         return Allocation(frozen)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Clean and supplementary parts of an allocation.
 
     ``clean`` has n+1 bundles with ``clean[0]`` covering every good outside
@@ -61,8 +62,10 @@ class Decomposition:
     ``supplementary[0]`` is always empty.
     """
 
-    clean: tuple[GoodSet, ...]
-    supplementary: tuple[GoodSet, ...]
+    __slots__ = _fields = ("clean", "supplementary")
+
+    def __init__(self, clean: tuple[GoodSet, ...], supplementary: tuple[GoodSet, ...]) -> None:
+        self._setslots(clean, supplementary)
 
     @property
     def n(self) -> int:

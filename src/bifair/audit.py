@@ -9,12 +9,12 @@ silently approximated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .allocation import Allocation, utility_vector
 from .errors import ValidationError
 from .oracle import _check_cap
+from .record import Record
 from .solver import P_LIMIT, log_power_sum
 from .valuation import Instance, bundle_value_table
 
@@ -140,14 +140,15 @@ def mms(instance: Instance, i: int) -> int:
     return _best_split(full, values, shares)
 
 
-@dataclass(frozen=True)
-class MmsRatioRow:
-    agent: int
-    utility: int
-    mms: int
-    ratio: Fraction | None  # None when the share is zero (trivially satisfied)
-    threshold: Fraction | None
-    meets_threshold: bool
+class MmsRatioRow(Record):
+    """One agent's utility against its maximin share; ``ratio`` is None when
+    the share is zero (trivially satisfied)."""
+
+    __slots__ = _fields = ("agent", "utility", "mms", "ratio", "threshold", "meets_threshold")
+
+    def __init__(self, agent: int, utility: int, mms: int, ratio: Fraction | None,
+                 threshold: Fraction | None, meets_threshold: bool) -> None:
+        self._setslots(agent, utility, mms, ratio, threshold, meets_threshold)
 
 
 def mms_ratio_report(
@@ -183,20 +184,27 @@ def mms_ratio_report(
     return rows
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Everything the auditors can say about one allocation."""
 
-    utilities: tuple[int, ...]
-    nash_positive_count: int
-    nash_product: int
-    usw: int
-    pmean: dict[float, float]
-    ef1: bool
-    ef1_witness: tuple[int, int] | None
-    efx: bool
-    efx_witness: tuple[int, int, int] | None
-    mms_rows: tuple[MmsRatioRow, ...] | None
+    __slots__ = _fields = ("utilities", "nash_positive_count", "nash_product", "usw", "pmean",
+                           "ef1", "ef1_witness", "efx", "efx_witness", "mms_rows")
+
+    def __init__(
+        self,
+        utilities: tuple[int, ...],
+        nash_positive_count: int,
+        nash_product: int,
+        usw: int,
+        pmean: dict[float, float],
+        ef1: bool,
+        ef1_witness: tuple[int, int] | None,
+        efx: bool,
+        efx_witness: tuple[int, int, int] | None,
+        mms_rows: tuple[MmsRatioRow, ...] | None,
+    ) -> None:
+        self._setslots(utilities, nash_positive_count, nash_product, usw, pmean,
+                       ef1, ef1_witness, efx, efx_witness, mms_rows)
 
     def to_dict(self) -> dict:
         report: dict = {

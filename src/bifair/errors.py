@@ -32,3 +32,7 @@ class PreconditionError(BifairError):
 
 class InternalInvariantError(BifairError):
     """Raised when a runtime invariant check fails; indicates a bug."""
+
+
+class FrozenInstanceError(BifairError, AttributeError):
+    """Raised on assigning or deleting an attribute of a frozen record."""

@@ -15,10 +15,10 @@ bundles and owner map, and copies no bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
+from .record import MutableRecord
 from .valuation import GoodSet, Instance
 
 
@@ -31,8 +31,7 @@ def f_set(instance: Instance, clean: Sequence[AbstractSet[int]], i: int) -> Good
     return frozenset(instance.valuation(i).matroid.extensions(clean[i]))
 
 
-@dataclass
-class ExchangeGraph:
+class ExchangeGraph(MutableRecord):
     """Exchange graph over a clean allocation, with lazily computed edges.
 
     The constructor takes one bundle per index, the pool ``0`` first, and
@@ -48,21 +47,18 @@ class ExchangeGraph:
     they change, clears it; provisional hand-outs leave both alone.
     """
 
-    instance: Instance
-    clean: list[set[int]]
-    owner: dict[int, int] = field(init=False)
-    dead: set[int] = field(init=False)
+    __slots__ = _fields = ("instance", "clean", "owner", "dead")
 
-    def __post_init__(self) -> None:
-        instance = self.instance
-        if len(self.clean) != instance.n + 1:
+    def __init__(self, instance: Instance, clean: Sequence[Iterable[int]]) -> None:
+        if len(clean) != instance.n + 1:
             raise PreconditionError(f"expected {instance.n + 1} clean bundles")
         for i in instance.agents:
-            if not instance.valuation(i).is_clean(self.clean[i]):
+            if not instance.valuation(i).is_clean(clean[i]):
                 raise PreconditionError(f"bundle of agent {i} is not clean")
-        self.clean = [set(bundle) for bundle in self.clean]
+        self.instance = instance
+        self.clean: list[set[int]] = [set(bundle) for bundle in clean]
         self.owner = {g: idx for idx, bundle in enumerate(self.clean) for g in bundle}
-        self.dead = set()
+        self.dead: set[int] = set()
 
     def out_neighbors(self, g: int) -> list[int]:
         """Goods the owner of ``g`` would accept in exchange, ascending."""

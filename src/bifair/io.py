@@ -70,13 +70,21 @@ def _good_indices(names: list[str], index: dict[str, int], where: str) -> frozen
     return frozenset(out)
 
 
+def _construct(where: str, cls: type, *args):
+    """``cls(*args)``; an error it raises keeps its class and gains the ``where`` prefix."""
+    try:
+        return cls(*args)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"{where}: matroid needs a type")
     kind = obj["type"]
     if kind == "uniform":
         _require_keys(obj, {"type", "cap"}, {"cap"}, where)
-        return UniformMatroid(m, _typed(obj["cap"], int, where, "cap"))
+        return _construct(where, UniformMatroid, m, _typed(obj["cap"], int, where, "cap"))
     if kind == "partition":
         _require_keys(obj, {"type", "parts", "caps"}, {"parts", "caps"}, where)
         parts = tuple(
@@ -87,7 +95,7 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
             _typed(cap, int, where, "cap")
             for cap in _typed(obj["caps"], list, where, "caps")
         )
-        return PartitionMatroid(m, parts, caps)
+        return _construct(where, PartitionMatroid, m, parts, caps)
     if kind == "marked":
         _require_keys(obj, {"type", "marked"}, {"marked"}, where)
         return MarkedMatroid(m, _good_indices(obj["marked"], index, where))
@@ -102,7 +110,7 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
                 _typed(s, int, where, "slot id")
                 for s in _typed(slot_list, list, where, f"edges of {name!r}")
             )
-        return TransversalMatroid(m, slots, tuple(adjacency))
+        return _construct(where, TransversalMatroid, m, slots, tuple(adjacency))
     if kind == "explicit":
         _require_keys(obj, {"type", "rank"}, {"rank"}, where)
         ranks: dict[int, int] = {}  # subset bitmask -> rank

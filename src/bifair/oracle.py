@@ -28,11 +28,11 @@ search scores each sorted vector once and keeps all of its permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .allocation import DOMINATES, compare_domination, utility_vector
 from .errors import SizeLimitError
+from .record import Record
 from .solver import Criterion, SolveResult
 from .valuation import BivaluedValuation, Instance, bundle_value_table
 
@@ -121,11 +121,13 @@ def _all_vectors(instance: Instance, table_of: Callable) -> set[tuple]:
     return vectors
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(Record):
     """All criterion-optimal utility vectors of an instance."""
 
-    optimal_vectors: frozenset[tuple[int, ...]]
+    __slots__ = _fields = ("optimal_vectors",)
+
+    def __init__(self, optimal_vectors: frozenset[tuple[int, ...]]) -> None:
+        self._setslots(optimal_vectors)
 
     @property
     def sorted_optima(self) -> frozenset[tuple[int, ...]]:
@@ -191,10 +193,11 @@ def brute_force_optima(
     return [_best_groups(criterion, groups) for criterion in criteria]
 
 
-@dataclass(frozen=True)
-class CertificationVerdict:
-    ok: bool
-    reason: str
+class CertificationVerdict(Record):
+    __slots__ = _fields = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str) -> None:
+        self._setslots(ok, reason)
 
 
 def certify_dominating(

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
@@ -44,6 +43,7 @@ from .allocation import Allocation, Decomposition, utility_vector
 from .errors import InternalInvariantError, UnsupportedCriterionError
 from .exchange import ExchangeGraph, f_set, shortest_path
 from .exchange import augment as augment_path
+from .record import MutableRecord, Record
 from .valuation import Instance
 
 Gain = tuple  # (escape, magnitude); see compare_gains
@@ -262,9 +262,11 @@ class TraceRecord(NamedTuple):
         return record
 
 
-@dataclass
-class SolveTrace:
-    records: list[TraceRecord] = field(default_factory=list)
+class SolveTrace(MutableRecord):
+    __slots__ = _fields = ("records",)
+
+    def __init__(self, records: list[TraceRecord] | None = None) -> None:
+        self.records = [] if records is None else records
 
     def to_jsonl(self) -> str:
         """The records as JSON lines joined by ``"\\n"``, no final newline.
@@ -290,12 +292,12 @@ class SolveTrace:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    allocation: Allocation
-    decomposition: Decomposition
-    trace: SolveTrace
-    utilities: tuple[int, ...]
+class SolveResult(Record):
+    __slots__ = _fields = ("allocation", "decomposition", "trace", "utilities")
+
+    def __init__(self, allocation: Allocation, decomposition: Decomposition,
+                 trace: SolveTrace, utilities: tuple[int, ...]) -> None:
+        self._setslots(allocation, decomposition, trace, utilities)
 
     @property
     def sorted_utilities(self) -> tuple[int, ...]:

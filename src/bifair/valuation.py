@@ -16,19 +16,20 @@ by Hall's theorem over slot bitmasks. Explicit matroids store the table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable
 
 from .errors import MalformedMatroidError, SizeLimitError, ValidationError
+from .record import Record
 
 GoodSet = frozenset[int]
 
 EXPLICIT_TABLE_MAX_GOODS = 20
 
 
-class Matroid:
+class Matroid(Record):
     """A matroid over goods ``0..m-1``, exposed through its rank function."""
 
+    __slots__ = ()
     m: int
 
     def rank(self, goods: AbstractSet[int]) -> int:
@@ -68,16 +69,15 @@ class Matroid:
             )
 
 
-@dataclass(frozen=True)
 class UniformMatroid(Matroid):
     """Any set of at most ``cap`` goods is independent."""
 
-    m: int
-    cap: int
+    __slots__ = _fields = ("m", "cap")
 
-    def __post_init__(self) -> None:
-        if self.cap < 0:
+    def __init__(self, m: int, cap: int) -> None:
+        if cap < 0:
             raise ValidationError("uniform matroid cap must be non-negative")
+        self._setslots(m, cap)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         return min(len(goods), self.cap)
@@ -94,29 +94,29 @@ class UniformMatroid(Matroid):
         return [h for h in range(self.m) if h not in goods]
 
 
-@dataclass(frozen=True)
 class PartitionMatroid(Matroid):
-    """Disjoint parts with per-part capacities; uncovered goods never add rank."""
+    """Disjoint parts with per-part capacities; uncovered goods never add rank.
 
-    m: int
-    parts: tuple[GoodSet, ...]
-    caps: tuple[int, ...]
-    _part_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    ``_part_of`` maps each covered good to its part's index.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.parts) != len(self.caps):
+    _fields = ("m", "parts", "caps")
+    __slots__ = _fields + ("_part_of",)
+
+    def __init__(self, m: int, parts: tuple[GoodSet, ...], caps: tuple[int, ...]) -> None:
+        if len(parts) != len(caps):
             raise ValidationError("partition matroid needs one cap per part")
-        if any(cap < 0 for cap in self.caps):
+        if any(cap < 0 for cap in caps):
             raise ValidationError("partition matroid caps must be non-negative")
         part_of: dict[int, int] = {}
-        for idx, part in enumerate(self.parts):
+        for idx, part in enumerate(parts):
             for g in part:
-                if not 0 <= g < self.m:
+                if not 0 <= g < m:
                     raise ValidationError(f"good {g} outside ground set")
                 if g in part_of:
                     raise ValidationError(f"good {g} appears in two parts")
                 part_of[g] = idx
-        object.__setattr__(self, "_part_of", part_of)
+        self._setslots(m, parts, caps, part_of)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         """Per part, the goods given in it up to its cap: O(|goods|)."""
@@ -153,16 +153,15 @@ class PartitionMatroid(Matroid):
         )
 
 
-@dataclass(frozen=True)
 class MarkedMatroid(Matroid):
     """Rank counts goods in a fixed marked set; the additive case."""
 
-    m: int
-    marked: GoodSet
+    __slots__ = _fields = ("m", "marked")
 
-    def __post_init__(self) -> None:
-        if any(not 0 <= g < self.m for g in self.marked):
+    def __init__(self, m: int, marked: GoodSet) -> None:
+        if any(not 0 <= g < m for g in marked):
             raise ValidationError("marked good outside ground set")
+        self._setslots(m, marked)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         return len(self.marked.intersection(goods))
@@ -177,25 +176,23 @@ class MarkedMatroid(Matroid):
         return sorted(self.marked - goods)
 
 
-@dataclass(frozen=True)
 class TransversalMatroid(Matroid):
     """Rank of S is the maximum matching size between S and a slot set.
 
     ``adjacency[g]`` lists the slots good ``g`` may occupy.
     """
 
-    m: int
-    slots: int
-    adjacency: tuple[GoodSet, ...]
+    __slots__ = _fields = ("m", "slots", "adjacency")
 
-    def __post_init__(self) -> None:
-        if len(self.adjacency) != self.m:
+    def __init__(self, m: int, slots: int, adjacency: tuple[GoodSet, ...]) -> None:
+        if len(adjacency) != m:
             raise ValidationError("transversal adjacency must cover every good")
-        if self.slots < 0:
+        if slots < 0:
             raise ValidationError("slot count must be non-negative")
-        for g, slots in enumerate(self.adjacency):
-            if any(not 0 <= s < self.slots for s in slots):
+        for g, reach in enumerate(adjacency):
+            if any(not 0 <= s < slots for s in reach):
                 raise ValidationError(f"good {g} adjacent to unknown slot")
+        self._setslots(m, slots, adjacency)
 
     def _matching(self, goods: Iterable[int]) -> dict[int, int]:
         """Greedy augmenting-path matching; returns slot -> good.
@@ -292,7 +289,6 @@ class TransversalMatroid(Matroid):
         return table
 
 
-@dataclass(frozen=True)
 class ExplicitMatroid(Matroid):
     """Rank read from a table: ``ranks[mask]`` ranks the goods set in ``mask``.
 
@@ -301,19 +297,19 @@ class ExplicitMatroid(Matroid):
     before relying on it, as instance files do at load.
     """
 
-    m: int
-    ranks: tuple[int, ...]
+    __slots__ = _fields = ("m", "ranks")
 
-    def __post_init__(self) -> None:
-        if self.m > EXPLICIT_TABLE_MAX_GOODS:
+    def __init__(self, m: int, ranks: tuple[int, ...]) -> None:
+        if m > EXPLICIT_TABLE_MAX_GOODS:
             raise SizeLimitError(
                 f"explicit rank tables support at most "
-                f"{EXPLICIT_TABLE_MAX_GOODS} goods, got {self.m}"
+                f"{EXPLICIT_TABLE_MAX_GOODS} goods, got {m}"
             )
-        if len(self.ranks) != 1 << self.m:
+        if len(ranks) != 1 << m:
             raise MalformedMatroidError(
-                f"explicit table has {len(self.ranks)} of {1 << self.m} subsets"
+                f"explicit table has {len(ranks)} of {1 << m} subsets"
             )
+        self._setslots(m, ranks)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         try:
@@ -338,16 +334,15 @@ class ExplicitMatroid(Matroid):
         return MalformedMatroidError(f"explicit table over {self.m} goods has no good {good}")
 
 
-@dataclass(frozen=True)
-class BivaluedValuation:
+class BivaluedValuation(Record):
     """Bundle valuation ``v(S) = |S| + (c - 1) * rank(S)`` with integer c >= 2."""
 
-    c: int
-    matroid: Matroid
+    __slots__ = _fields = ("c", "matroid")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 2:
-            raise ValidationError(f"c must be an integer >= 2, got {self.c!r}")
+    def __init__(self, c: int, matroid: Matroid) -> None:
+        if not isinstance(c, int) or c < 2:
+            raise ValidationError(f"c must be an integer >= 2, got {c!r}")
+        self._setslots(c, matroid)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         return self.matroid.rank(goods)
@@ -366,8 +361,7 @@ class BivaluedValuation:
         return self.matroid.rank(goods) == len(goods)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """An allocation problem: named goods and one valuation per agent.
 
     All agents share the same ``c``. Agent indices are 1-based in bundle
@@ -376,51 +370,44 @@ class Instance:
     stated with an original value pair ``(a, b)`` with ``a | b``, the
     valuations here are the rescaled ``(1, c=b//a)`` ones and ``scale``
     records ``a`` so reported utilities can be mapped back.
+
+    ``m`` counts the goods, ``n`` the agents, and ``agents`` is the range of
+    real agent indices ``1..n``; all three are derived once, at construction.
     """
 
-    goods: tuple[str, ...]
-    c: int
-    valuations: tuple[BivaluedValuation, ...]
-    agent_names: tuple[str, ...] = ()
-    scale: int = 1
+    _fields = ("goods", "c", "valuations", "agent_names", "scale")
+    __slots__ = _fields + ("m", "n", "agents")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 2:
+    def __init__(
+        self,
+        goods: tuple[str, ...],
+        c: int,
+        valuations: tuple[BivaluedValuation, ...],
+        agent_names: tuple[str, ...] = (),
+        scale: int = 1,
+    ) -> None:
+        if not isinstance(c, int) or c < 2:
             raise ValidationError(
                 f"c must be an integer >= 2 (non-integer ratios are rejected "
-                f"as computationally intractable), got {self.c!r}"
+                f"as computationally intractable), got {c!r}"
             )
-        if len(set(self.goods)) != len(self.goods):
+        m = len(goods)
+        if len(set(goods)) != m:
             raise ValidationError("good names must be unique")
-        if not self.valuations:
+        if not valuations:
             raise ValidationError("instance needs at least one agent")
-        if not self.agent_names:
-            object.__setattr__(
-                self,
-                "agent_names",
-                tuple(f"agent{i}" for i in range(1, len(self.valuations) + 1)),
-            )
-        if len(self.agent_names) != len(self.valuations):
+        n = len(valuations)
+        if not agent_names:
+            agent_names = tuple(f"agent{i}" for i in range(1, n + 1))
+        if len(agent_names) != n:
             raise ValidationError("one name per agent required")
-        if self.scale < 1:
+        if scale < 1:
             raise ValidationError("scale must be a positive integer")
-        for val in self.valuations:
-            if val.c != self.c:
+        for val in valuations:
+            if val.c != c:
                 raise ValidationError("all agents must share the same c")
-            val.matroid._check_ground(self.m)
-
-    @property
-    def m(self) -> int:
-        return len(self.goods)
-
-    @property
-    def n(self) -> int:
-        return len(self.valuations)
-
-    @property
-    def agents(self) -> range:
-        """Real agent indices 1..n."""
-        return range(1, self.n + 1)
+            val.matroid._check_ground(m)
+        self._setslots(goods, c, valuations, agent_names, scale, m, n, range(1, n + 1))
 
     def valuation(self, i: int) -> BivaluedValuation:
         """Valuation of agent ``i`` (1-based)."""
@@ -448,14 +435,14 @@ def rescale_pair(a: int, b: int) -> int:
     return b // a
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     """One failed rank-axiom check in an explicit table."""
 
-    axiom: str
-    subset: tuple[int, ...]
-    goods: tuple[int, ...]
-    detail: str
+    __slots__ = _fields = ("axiom", "subset", "goods", "detail")
+
+    def __init__(self, axiom: str, subset: tuple[int, ...], goods: tuple[int, ...],
+                 detail: str) -> None:
+        self._setslots(axiom, subset, goods, detail)
 
 
 def validate_explicit(valuation: BivaluedValuation) -> list[AxiomViolation]:

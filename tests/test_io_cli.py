@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import random
 import tracemalloc
@@ -22,7 +21,8 @@ from bifair.io import (
     parse_instance,
     random_instance,
 )
-from bifair.valuation import rescale_pair
+from bifair.solver import SolveResult
+from bifair.valuation import Instance, rescale_pair
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
@@ -430,9 +430,8 @@ class TestOracleCheckReports:
 
         def inflated_solve(*args, **kwargs):
             result = real(*args, **kwargs)
-            return dataclasses.replace(
-                result, utilities=tuple(u + 1 for u in result.utilities)
-            )
+            return SolveResult(result.allocation, result.decomposition, result.trace,
+                               tuple(u + 1 for u in result.utilities))
 
         monkeypatch.setattr(bifair.cli, "solve", inflated_solve)
 
@@ -502,6 +501,26 @@ class TestInputContract:
             "version": 1, "c": 3, "goods": goods,
             "agents": [{"matroid": {"type": "uniform", "cap": 1}}, {"matroid": matroid}],
         }, "error: agent 2: ")
+
+    @pytest.mark.parametrize("matroid, message", [
+        pytest.param({"type": "transversal", "slots": 1, "edges": {"g1": [1]}},
+                     "good 0 adjacent to unknown slot", id="unknown-slot"),
+        pytest.param({"type": "transversal", "slots": -1, "edges": {}},
+                     "slot count must be non-negative", id="negative-slots"),
+        pytest.param({"type": "uniform", "cap": -1},
+                     "uniform matroid cap must be non-negative", id="negative-cap"),
+        pytest.param({"type": "partition", "parts": [["g1"]], "caps": [-1]},
+                     "partition matroid caps must be non-negative", id="negative-caps"),
+        pytest.param({"type": "partition", "parts": [["g1"], ["g1", "g2"]], "caps": [1, 1]},
+                     "good 0 appears in two parts", id="good-in-two-parts"),
+        pytest.param({"type": "partition", "parts": [["g1"], ["g2"]], "caps": [1]},
+                     "partition matroid needs one cap per part", id="cap-count"),
+    ])
+    def test_matroid_constructor_error_names_the_agent(self, tmp_path, capsys, matroid,
+                                                        message):
+        self._solve_rejects(tmp_path, capsys, {
+            "version": 1, "c": 3, "goods": ["g1", "g2"], "agents": [{"matroid": matroid}],
+        }, f"error: agent 1: {message}\n")
 
     @pytest.mark.parametrize("agents, prefix", [
         pytest.param(
@@ -783,7 +802,8 @@ def _restated(draw):
     instance = random_instance(family, n, m, c, draw(st.integers(0, 2**16)))
     if draw(st.booleans()):
         names = draw(st.lists(st.text(max_size=3), min_size=m, max_size=m, unique=True))
-        instance = dataclasses.replace(instance, goods=tuple(names))
+        instance = Instance(tuple(names), instance.c, instance.valuations,
+                            instance.agent_names, instance.scale)
     data = emit_instance(instance)
     data["agents"] = draw(st.permutations(data["agents"]))
     if draw(st.booleans()):

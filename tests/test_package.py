@@ -17,8 +17,9 @@ README = Path(__file__).parents[1] / "README.md"
 
 # Layers that loading an instance file never uses.
 NOT_FOR_IO = {"bifair.exchange", "bifair.solver", "bifair.oracle", "bifair.audit",
-              "bifair.cli", "fractions", "heapq"}
-IO_LAYERS = {"bifair", "bifair.errors", "bifair.valuation", "bifair.allocation", "bifair.io"}
+              "bifair.cli", "fractions", "heapq", "dataclasses", "inspect"}
+IO_LAYERS = {"bifair", "bifair.errors", "bifair.record", "bifair.valuation",
+             "bifair.allocation", "bifair.io"}
 
 
 def _modules_loaded_by(code: str) -> set[str]:
@@ -41,6 +42,10 @@ class TestImportBoundary:
         loaded = _modules_loaded_by(code)
         assert not loaded & NOT_FOR_IO
         assert {name for name in loaded if name.startswith("bifair")} == IO_LAYERS
+
+    @pytest.mark.parametrize("module", ["bifair.solver", "bifair.cli"])
+    def test_no_layer_loads_dataclasses_or_inspect(self, module):
+        assert not _modules_loaded_by(f"import {module}") & {"dataclasses", "inspect"}
 
     def test_package_import_loads_no_submodule(self):
         assert {name for name in _modules_loaded_by("import bifair")

@@ -247,8 +247,13 @@ class TestSolveGeneral:
                     for v in instance.valuations
                 ))
 
+            def slots(obj):
+                assert not hasattr(obj, "__dict__")  # every attribute lives in a slot
+                return {name: getattr(obj, name)
+                        for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
+
             def state():
-                return [(vars(v), vars(v.matroid)) for v in instance.valuations]
+                return [(slots(v), slots(v.matroid)) for v in instance.valuations]
 
             before = copy.deepcopy(state())
             for name, p in (("mnw", None), ("leximin", None), ("pmean", -1.0)):
