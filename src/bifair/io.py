@@ -98,7 +98,7 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
         return _construct(where, PartitionMatroid, m, parts, caps)
     if kind == "marked":
         _require_keys(obj, {"type", "marked"}, {"marked"}, where)
-        return MarkedMatroid(m, _good_indices(obj["marked"], index, where))
+        return _construct(where, MarkedMatroid, m, _good_indices(obj["marked"], index, where))
     if kind == "transversal":
         _require_keys(obj, {"type", "slots", "edges"}, {"slots", "edges"}, where)
         slots = _typed(obj["slots"], int, where, "slots")
@@ -128,10 +128,8 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
             key_of[mask] = key
             ranks[mask] = _typed(value, int, where, f"rank of {key!r}")
         # A complete table holds every mask below 2^m once, so sorting lays it out.
-        try:
-            return ExplicitMatroid(m, tuple(ranks[mask] for mask in sorted(ranks)))
-        except MalformedMatroidError as exc:
-            raise MalformedMatroidError(f"{where}: {exc}") from None
+        table = tuple(ranks[mask] for mask in sorted(ranks))
+        return _construct(where, ExplicitMatroid, m, table)
     raise ValidationError(f"{where}: unknown matroid type {kind!r}")
 
 
@@ -340,15 +338,15 @@ def _random_matroid(family: str, m: int, rng: random.Random) -> Matroid:
         return UniformMatroid(m, rng.randint(0, m))
     if family == "partition":
         part_count = rng.randint(1, max(1, m))
-        # Label part_count as "uncovered" so some goods may carry no rank.
-        labels = [rng.randint(0, part_count) for _ in range(m)]
-        parts = []
-        caps = []
-        for part in range(part_count):
-            members = frozenset(g for g in range(m) if labels[g] == part)
-            if members:
-                parts.append(members)
-                caps.append(rng.randint(0, len(members)))
+        # Group the goods by a drawn label; label part_count leaves them uncovered.
+        members: list[list[int]] = [[] for _ in range(part_count + 1)]
+        for g in range(m):
+            members[rng.randint(0, part_count)].append(g)
+        parts, caps = [], []
+        for part in members[:-1]:
+            if part:
+                parts.append(frozenset(part))
+                caps.append(rng.randint(0, len(part)))
         return PartitionMatroid(m, tuple(parts), tuple(caps))
     if family == "transversal":
         slots = rng.randint(1, max(1, m))

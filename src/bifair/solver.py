@@ -12,10 +12,10 @@ pool (agents in play, agents out of play) offers its poorest agent, lowest
 index first, and only those two agents' gains are evaluated: the gain
 decides between the two pools, with ties going to the in-play agent. This
 tie-breaking is what makes the output canonical among all optimal
-allocations. The pools are ``(utility, index)`` heaps, and one solver state
-(utilities, pools, the exchange graph's clean bundles and owner map, the
-holders of provisional goods) is updated in place, not rebuilt every
-iteration: a transfer moves only the path's goods between the graph's
+allocations. The pools are ``(utility, index)`` heaps. One solver state,
+updated in place, keeps each fact once: utilities only in the pools, bundles
+and owners only in the exchange graph, provisional goods only in a map to
+their holders. A transfer moves only the path's goods between the graph's
 mutable bundles, and the bundles are frozen once, into the result. The
 graph also keeps the goods a failed path search proved unable to reach the
 pool, so the searches before the next transfer skip them; provisional
@@ -324,17 +324,16 @@ class _State:
 
     ``graph`` holds the clean bundles and their owner map; a transfer moves
     the path's goods between those bundles in place. Provisional goods stay
-    in the pool bundle ``graph.clean[0]``; ``holder`` maps each to the agent
-    holding it. The free goods (in the pool, not provisional) only ever
+    in the pool bundle ``graph.clean[0]``, and only ``holder`` says who holds
+    each. Utilities live only in the ``(utility, index)`` heaps, one entry
+    per agent. The free goods (in the pool, not provisional) only ever
     shrink, so the lowest one is found by a pointer that never moves back.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.graph = ExchangeGraph(instance, [range(instance.m)] + [()] * instance.n)
-        self.supp: list[set[int]] = [set() for _ in range(instance.n + 1)]
         self.holder: dict[int, int] = {}
-        self.utilities = [0] * instance.n
         self.in_play = [(0, i) for i in instance.agents]
         self.benched: list[tuple[int, int]] = []
         self._lowest_free = 0
@@ -349,6 +348,17 @@ class _State:
         self._lowest_free = g
         return g
 
+    def pooled(self) -> list[tuple[int, int]]:
+        """Every ``(utility, index)`` entry of the two pools, in index order."""
+        return sorted(self.in_play + self.benched, key=lambda entry: entry[1])
+
+    def supplementary(self) -> list[set[int]]:
+        """Provisional goods per bundle index, read off ``holder``."""
+        bundles: list[set[int]] = [set() for _ in range(self.instance.n + 1)]
+        for g, i in self.holder.items():
+            bundles[i].add(g)
+        return bundles
+
     def augment(self, path: tuple[int, ...], i: int) -> int | None:
         """Serve ``i``, the top in-play agent, along ``path``; return any replacement.
 
@@ -356,14 +366,11 @@ class _State:
         lowest free good in its place, and that good is returned.
         """
         augment_path(self.graph, path, i)
-        u = self.utilities[i - 1] = self.utilities[i - 1] + self.instance.c
-        heapq.heapreplace(self.in_play, (u, i))
+        heapq.heapreplace(self.in_play, (self.in_play[0][0] + self.instance.c, i))
         holder = self.holder.pop(path[-1], None)
         if holder is None:
             return None
         replacement = self.lowest_free_good()
-        self.supp[holder].discard(path[-1])
-        self.supp[holder].add(replacement)
         self.holder[replacement] = holder
         return replacement
 
@@ -374,34 +381,31 @@ class _State:
     def give_provisional(self, i: int) -> int:
         """Hand ``i``, the top benched agent, the lowest free good; return it."""
         good = self.lowest_free_good()
-        self.supp[i].add(good)
         self.holder[good] = i
-        u = self.utilities[i - 1] = self.utilities[i - 1] + 1
-        heapq.heapreplace(self.benched, (u, i))
+        heapq.heapreplace(self.benched, (self.benched[0][0] + 1, i))
         return good
 
     def check_invariants(self) -> None:
         instance, clean = self.instance, self.graph.clean
-        for i in instance.agents:
+        pooled = self.pooled()
+        if [i for _, i in pooled] != list(instance.agents):
+            raise InternalInvariantError("agent pools do not hold each agent once")
+        provisional = self.supplementary()
+        for u, i in pooled:
             if not instance.valuation(i).is_clean(clean[i]):
                 raise InternalInvariantError(f"clean bundle {i} lost cleanness")
-            bundle = clean[i] | self.supp[i]
-            expected = instance.c * len(clean[i]) + len(self.supp[i])
-            if not instance.value(i, bundle) == expected == self.utilities[i - 1]:
+            value = instance.value(i, clean[i] | provisional[i])
+            expected = instance.c * len(clean[i]) + len(provisional[i])
+            if not value == expected == u:
                 raise InternalInvariantError(
-                    f"agent {i}: bundle value {instance.value(i, bundle)}, "
-                    f"decomposition {expected} and cached "
-                    f"{self.utilities[i - 1]} differ; a provisional good "
+                    f"agent {i}: bundle value {value}, decomposition {expected} "
+                    f"and pooled utility {u} differ; a provisional good "
                     f"turned high-value"
                 )
         if not self.holder.keys() <= clean[0]:
             raise InternalInvariantError("provisional goods escaped the pool")
-        if any(self.graph.owner[g] != idx
-               for idx, bundle in enumerate(clean) for g in bundle):
+        if {g: idx for idx, bundle in enumerate(clean) for g in bundle} != self.graph.owner:
             raise InternalInvariantError("owner map disagrees with the bundles")
-        pooled = sorted(self.in_play + self.benched, key=lambda entry: entry[1])
-        if pooled != [(u, i) for i, u in enumerate(self.utilities, start=1)]:
-            raise InternalInvariantError("agent pools disagree with utilities")
 
 
 def solve(
@@ -414,10 +418,10 @@ def solve(
     Returns the allocation together with the clean/supplementary split the
     solver maintained and a per-iteration trace. With ``check_invariants``
     the loop re-verifies its invariants every iteration (cleanness of every
-    bundle, cached utilities and pools, the owner map, pool containment,
-    and the pick-the-poorest property of the selected agent); this is meant
-    for tests and costs roughly a full rank recomputation per bundle per
-    iteration.
+    bundle, one pool entry per agent with its bundle's utility, the owner
+    map, pool containment, and that the picked agent is its pool's least
+    entry); this is meant for tests and costs roughly a full rank
+    recomputation per bundle per iteration.
     """
     criterion = criterion.bind(instance)
     state = _State(instance)
@@ -433,7 +437,6 @@ def solve(
             raise InternalInvariantError(
                 f"exceeded the {max_iterations}-iteration bound"
             )
-        utilities = state.utilities
         agent_c, gain_c = _argmax_min_index(criterion, state.in_play, c)
         agent_1, gain_1 = _argmax_min_index(criterion, state.benched, 1)
         gains = (_describe(gain_c), _describe(gain_1))
@@ -441,7 +444,7 @@ def solve(
         if compare_gains(gain_c, gain_1) >= 0 and agent_c is not None:
             i = agent_c
             if check_invariants:
-                _check_selection(utilities, (k for _, k in state.in_play), i)
+                _check_selection(state.in_play, i)
             path = shortest_path(graph, f_set(instance, graph.clean, i))
             if path is None:
                 state.bench()
@@ -456,33 +459,28 @@ def solve(
             if i is None:
                 raise InternalInvariantError("no agent eligible for selection")
             if check_invariants:
-                _check_selection(utilities, (k for _, k in state.benched), i)
+                _check_selection(state.benched, i)
             good = state.give_provisional(i)
             record = TraceRecord(iteration, *gains, i, "provisional", None, good)
         trace.records.append(record)
         if check_invariants:
             state.check_invariants()
 
-    supplementary = tuple(frozenset(b) for b in state.supp)
-    decomposition = Decomposition(tuple(map(frozenset, graph.clean)), supplementary)
+    decomposition = Decomposition(tuple(map(frozenset, graph.clean)),
+                                  tuple(map(frozenset, state.supplementary())))
     allocation = decomposition.union()
     if sum(len(allocation.bundle(i)) for i in instance.agents) != instance.m:
         raise InternalInvariantError("solver left goods unallocated")
     final = utility_vector(instance, allocation)
-    cached = tuple(state.utilities)
-    if final != cached:
-        raise InternalInvariantError(
-            f"final utilities {final} disagree with cached {cached}"
-        )
+    pooled = tuple(u for u, _ in state.pooled())
+    if final != pooled:
+        raise InternalInvariantError(f"final utilities {final} disagree with pooled {pooled}")
     return SolveResult(allocation, decomposition, trace, final)
 
 
-def _check_selection(utilities: Sequence[int], pool: Iterable[int], i: int) -> None:
-    """The picked agent must be the poorest in its pool, lowest index on ties."""
-    for j in pool:
-        if utilities[j - 1] < utilities[i - 1] or (
-            utilities[j - 1] == utilities[i - 1] and j < i
-        ):
-            raise InternalInvariantError(
-                f"picked agent {i} over poorer or lower-indexed agent {j}"
-            )
+def _check_selection(pool: Sequence[tuple[int, int]], i: int) -> None:
+    """The picked agent must be the pool's least ``(utility, index)`` entry."""
+    least = min(pool)[1]
+    if least != i:
+        raise InternalInvariantError(
+            f"picked agent {i} over agent {least}, the pool's least entry")

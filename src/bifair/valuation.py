@@ -97,7 +97,7 @@ class UniformMatroid(Matroid):
 class PartitionMatroid(Matroid):
     """Disjoint parts with per-part capacities; uncovered goods never add rank.
 
-    ``_part_of`` maps each covered good to its part's index.
+    ``_part_of`` maps each covered good, ascending, to its part's index.
     """
 
     _fields = ("m", "parts", "caps")
@@ -116,17 +116,21 @@ class PartitionMatroid(Matroid):
                 if g in part_of:
                     raise ValidationError(f"good {g} appears in two parts")
                 part_of[g] = idx
-        self._setslots(m, parts, caps, part_of)
+        self._setslots(m, parts, caps, dict(sorted(part_of.items())))
 
-    def rank(self, goods: AbstractSet[int]) -> int:
-        """Per part, the goods given in it up to its cap: O(|goods|)."""
+    def _counts(self, goods: AbstractSet[int]) -> dict[int, int]:
+        """How many of ``goods`` each part holds, for the parts holding any: O(|goods|)."""
         part_of, counts = self._part_of, {}
         for g in goods:
             idx = part_of.get(g)
             if idx is not None:
                 counts[idx] = counts.get(idx, 0) + 1
+        return counts
+
+    def rank(self, goods: AbstractSet[int]) -> int:
+        """Per part, the goods given in it up to its cap."""
         total = 0
-        for idx, count in counts.items():
+        for idx, count in self._counts(goods).items():
             cap = self.caps[idx]
             total += count if count < cap else cap
         return total
@@ -144,13 +148,10 @@ class PartitionMatroid(Matroid):
         return table
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
-        """The goods outside ``goods`` of every part that still has room."""
-        return sorted(
-            g
-            for part, cap in zip(self.parts, self.caps)
-            if len(goods & part) < cap
-            for g in part - goods
-        )
+        """The goods outside ``goods`` of every part that still has room, ascending."""
+        counts, caps = self._counts(goods), self.caps
+        return [g for g, idx in self._part_of.items()
+                if counts.get(idx, 0) < caps[idx] and g not in goods]
 
 
 class MarkedMatroid(Matroid):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import random
 import tracemalloc
@@ -199,6 +200,18 @@ class TestGeneratedInstances:
             a = dumps_canonical(emit_instance(random_instance(family, 3, 6, 2, 42)))
             b = dumps_canonical(emit_instance(random_instance(family, 3, 6, 2, 42)))
             assert a == b
+
+    def test_partition_output_is_pinned(self):
+        # The digest was taken from the generator that scanned all m goods per
+        # part; grouping the drawn labels in one pass must give the same bytes.
+        digest = hashlib.sha256()
+        for seed in range(30):
+            for n, m in ((1, 0), (2, 1), (3, 7), (5, 40), (20, 250), (40, 300)):
+                instance = random_instance("partition", n, m, 2 + seed % 2, seed)
+                digest.update(dumps_canonical(emit_instance(instance)).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "e6025b85c5be6029e195956e75ed0ab13c778a3931a5560ef0ea8e45323d6fc8"
+        )
 
     def test_marked_family_is_additive(self):
         instance = random_instance("marked", 2, 6, 3, 11)
@@ -591,8 +604,9 @@ class TestInputContract:
         }
         tracemalloc.start()
         try:
-            self._solve_rejects(tmp_path, capsys, data,
-                                "error: explicit rank tables support at most 20 goods, got 21\n")
+            self._solve_rejects(
+                tmp_path, capsys, data,
+                "error: agent 1: explicit rank tables support at most 20 goods, got 21\n")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -195,6 +195,40 @@ class TestSolveGeneral:
                 assert not (bundle & seen)
                 seen |= bundle
 
+    def test_trace_rebuilds_the_decomposition(self):
+        # Replaying the provisional hand-outs and the steals must give the
+        # supplementary bundles exactly, and with the clean bundles the
+        # utilities, whatever the solver keeps internally.
+        steals = {family: 0 for family in FAMILIES}
+        for family in FAMILIES:
+            for seed in range(20):
+                instance = random_instance(family, 4, 12, 2 + seed % 2, seed)
+                for criterion in (MaxNashWelfare(), Leximin(), PMeanWelfare(-1.0)):
+                    result = solve(instance, criterion)
+                    holder: dict[int, int] = {}
+                    for record in result.trace.records:
+                        if record.action == "provisional":
+                            assert record.good not in holder
+                            holder[record.good] = record.agent
+                        elif record.action == "augmented":
+                            stolen = holder.pop(record.path[-1], None)
+                            assert (stolen is None) == (record.replacement is None)
+                            if stolen is not None:
+                                assert record.replacement not in holder
+                                holder[record.replacement] = stolen
+                                steals[family] += 1
+                    supp = [set() for _ in range(instance.n + 1)]
+                    for good, agent in holder.items():
+                        supp[agent].add(good)
+                    decomposition = result.decomposition
+                    assert decomposition.supplementary == tuple(map(frozenset, supp))
+                    assert result.utilities == tuple(
+                        instance.c * len(decomposition.clean[i]) + len(supp[i])
+                        for i in instance.agents
+                    ), (family, seed, criterion.name)
+        # On these draws every family but marked steals at least once.
+        assert all(steals[family] for family in FAMILIES[1:]), steals
+
     def test_utilities_match_value_oracle(self):
         rng = random.Random(19)
         for trial in range(40):
