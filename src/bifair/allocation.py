@@ -28,10 +28,6 @@ class Allocation(Record):
     def __init__(self, bundles: tuple[GoodSet, ...]) -> None:
         self._setslots(bundles)
 
-    @property
-    def n(self) -> int:
-        return len(self.bundles) - 1
-
     def bundle(self, i: int) -> GoodSet:
         return self.bundles[i]
 
@@ -67,14 +63,10 @@ class Decomposition(Record):
     def __init__(self, clean: tuple[GoodSet, ...], supplementary: tuple[GoodSet, ...]) -> None:
         self._setslots(clean, supplementary)
 
-    @property
-    def n(self) -> int:
-        return len(self.clean) - 1
-
     def union(self) -> Allocation:
         """Recombine the two parts into the allocation they decompose."""
         bundles = [self.clean[i] | self.supplementary[i] for i in range(len(self.clean))]
-        allocated = frozenset().union(*bundles[1:]) if self.n else frozenset()
+        allocated = frozenset().union(*bundles[1:])
         bundles[0] = frozenset().union(*self.clean) - allocated
         return Allocation(tuple(bundles))
 
@@ -96,8 +88,7 @@ def decompose(instance: Instance, allocation: Allocation) -> Decomposition:
                 kept.add(g)
         clean.append(frozenset(kept))
         supplementary.append(allocation.bundle(i) - kept)
-    clean[0] = frozenset(range(instance.m)) - frozenset().union(*clean[1:]) \
-        if instance.n else frozenset(range(instance.m))
+    clean[0] = frozenset(range(instance.m)).difference(*clean[1:])
     return Decomposition(tuple(clean), tuple(supplementary))
 
 

@@ -62,12 +62,8 @@ def check_efx(
 
 def nash_welfare(instance: Instance, allocation: Allocation) -> tuple[int, int]:
     """(number of positive-utility agents, exact product of their utilities)."""
-    utilities = utility_vector(instance, allocation)
-    positive = [u for u in utilities if u > 0]
-    product = 1
-    for u in positive:
-        product *= u
-    return len(positive), product
+    positive = [u for u in utility_vector(instance, allocation) if u > 0]
+    return len(positive), math.prod(positive)
 
 
 def usw(instance: Instance, allocation: Allocation) -> int:

@@ -63,7 +63,6 @@ class ExchangeGraph(MutableRecord):
     def out_neighbors(self, g: int) -> list[int]:
         """Goods the owner of ``g`` would accept in exchange, ascending."""
         j = self.owner[g]
-        bundle = self.clean[j]
         if j == 0:
             # The pool owner counts every good as high value, so it accepts
             # any good in exchange. Pool-to-pool edges never shorten a path
@@ -71,7 +70,8 @@ class ExchangeGraph(MutableRecord):
             # matches the rank-preservation rule wherever paths matter.
             return [h for h in range(self.instance.m) if h != g]
         matroid = self.instance.valuation(j).matroid
-        return [h for h in matroid.extensions(bundle - {g}) if h not in bundle]
+        # ``extensions`` skips the goods it is given, so g is the one bundle good left.
+        return [h for h in matroid.extensions(self.clean[j] - {g}) if h != g]
 
     def edges(self) -> list[tuple[int, int]]:
         """Materialize every edge; intended for dumps and small instances."""

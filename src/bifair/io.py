@@ -16,7 +16,7 @@ import random
 from pathlib import Path
 from typing import Iterable
 
-from .allocation import Allocation, Decomposition
+from .allocation import Allocation, Decomposition, utility_vector
 from .errors import MalformedMatroidError, ValidationError
 from .valuation import (
     BivaluedValuation,
@@ -78,6 +78,13 @@ def _construct(where: str, cls: type, *args):
         raise type(exc)(f"{where}: {exc}") from None
 
 
+def _check_key_names(goods: Iterable[str], where: str) -> None:
+    """Explicit rank keys are comma-joined names, so none may be empty or hold a comma."""
+    for name in goods:
+        if not name or "," in name:
+            raise ValidationError(f"{where}: good {name!r} cannot appear in an explicit rank key")
+
+
 def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"{where}: matroid needs a type")
@@ -113,6 +120,7 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
         return _construct(where, TransversalMatroid, m, slots, tuple(adjacency))
     if kind == "explicit":
         _require_keys(obj, {"type", "rank"}, {"rank"}, where)
+        _check_key_names(index, where)
         ranks: dict[int, int] = {}  # subset bitmask -> rank
         key_of: dict[int, str] = {}
         for key, value in _typed(obj["rank"], dict, where, "rank").items():
@@ -159,8 +167,6 @@ def parse_instance(data: dict) -> Instance:
     goods = tuple(_typed(data["goods"], list, "instance", "goods"))
     if not all(isinstance(name, str) for name in goods):
         raise ValidationError("instance: goods must be a list of strings")
-    if len(set(goods)) != len(goods):
-        raise ValidationError("good names must be unique")
     index = {name: g for g, name in enumerate(goods)}
 
     scale = 1
@@ -218,6 +224,7 @@ def emit_matroid(matroid: Matroid, goods: tuple[str, ...]) -> dict:
             },
         }
     if isinstance(matroid, ExplicitMatroid):
+        _check_key_names(goods, "cannot serialize explicit rank table")
         return {
             "type": "explicit",
             "rank": {
@@ -258,9 +265,7 @@ def emit_allocation(
     def names(ids: Iterable[int]) -> list[str]:
         return [instance.goods[g] for g in sorted(ids)]
 
-    utilities = [
-        instance.value(i, allocation.bundle(i)) for i in instance.agents
-    ]
+    utilities = list(utility_vector(instance, allocation))
     data: dict = {
         "version": ALLOCATION_VERSION,
         "unallocated": names(allocation.bundle(0)),

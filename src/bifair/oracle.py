@@ -59,11 +59,6 @@ def _least_dp_steps(instance: Instance) -> int:
     return (n + 1) * 2**m + (n - 2) * 3**m
 
 
-def _all_utility_vectors(instance: Instance) -> set[tuple[int, ...]]:
-    """Distinct utility vectors over all complete allocations."""
-    return _all_vectors(instance, bundle_value_table)
-
-
 def _rank_value_table(valuation: BivaluedValuation) -> list[tuple[int, int]]:
     """``(rank, value)`` of every subset, indexed by bitmask; with c >= 2 each
     value v(S) = |S| + (c - 1) * rank(S) gives back its rank."""
@@ -144,16 +139,7 @@ class BruteForceResult(Record):
 
 def brute_force_optimum(instance: Instance, criterion: Criterion) -> BruteForceResult:
     """Criterion optimum over every complete allocation."""
-    return _optimum_of(instance, criterion, _all_utility_vectors(instance))
-
-
-def _optimum_of(
-    instance: Instance,
-    criterion: Criterion,
-    vectors: set[tuple[int, ...]],
-) -> BruteForceResult:
-    """Criterion optimum over ``vectors``, one key per sorted vector."""
-    return _best_groups(criterion, _sorted_groups(vectors))
+    return brute_force_optima(instance, [criterion])[0]
 
 
 def _sorted_groups(
@@ -189,7 +175,7 @@ def brute_force_optima(
 ) -> list[BruteForceResult]:
     """One enumeration and one grouping of utility vectors shared across
     several criteria."""
-    groups = _sorted_groups(_all_utility_vectors(instance))
+    groups = _sorted_groups(_all_vectors(instance, bundle_value_table))
     return [_best_groups(criterion, groups) for criterion in criteria]
 
 

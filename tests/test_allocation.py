@@ -11,6 +11,7 @@ from bifair.allocation import (
     DOMINATES,
     INCOMPARABLE_EQUAL,
     Allocation,
+    Decomposition,
     check_decomposition,
     compare_domination,
     compare_lex,
@@ -18,7 +19,7 @@ from bifair.allocation import (
     sorted_utility_vector,
     utility_vector,
 )
-from bifair.errors import ValidationError
+from bifair.errors import PreconditionError, ValidationError
 from bifair.io import random_instance
 from bifair.solver import Leximin, MaxNashWelfare, solve
 from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid, UniformMatroid
@@ -154,3 +155,38 @@ class TestDomination:
         y = self._decomposed(instance, [set(), {2}, {0, 1}])
         assert compare_domination(y, x) == DOMINATES
         assert compare_domination(x, y) == DOMINATED
+
+
+class TestRefusals:
+    def test_from_bundles_needs_one_bundle_per_index(self):
+        instance = _mixed_value_instance()
+        with pytest.raises(ValidationError, match="^expected 3 bundles, got 2$"):
+            Allocation.from_bundles(instance, [range(4), ()])
+
+    # Agent 1 values every good highly, agent 2 only good 2; the bundles are
+    # {0, 1} and {2, 3}, whose valid decomposition is clean {0, 1} and {2}
+    # with good 3 supplementary. Each case breaks it at one agent.
+    @pytest.mark.parametrize("agent, clean, supplementary, message", [
+        pytest.param(1, {0, 2}, set(), "decomposition parts of agent 1 leave the bundle",
+                     id="leaves-bundle"),
+        pytest.param(1, {0, 1}, {1}, "clean and supplementary parts of agent 1 overlap",
+                     id="overlap"),
+        pytest.param(1, {0}, set(), "decomposition of agent 1 misses goods",
+                     id="misses-goods"),
+        pytest.param(1, {0}, {1}, "clean part of agent 1 has size 1, expected rank 2",
+                     id="below-rank"),
+        pytest.param(2, {3}, {2}, "clean part of agent 2 is not clean", id="not-clean"),
+    ])
+    def test_check_decomposition(self, agent, clean, supplementary, message):
+        goods = ("g1", "g2", "g3", "g4")
+        instance = Instance(goods, 3, (
+            BivaluedValuation(3, MarkedMatroid(4, frozenset(range(4)))),
+            BivaluedValuation(3, MarkedMatroid(4, frozenset({2}))),
+        ))
+        allocation = Allocation.from_bundles(instance, [(), {0, 1}, {2, 3}])
+        parts = [[frozenset(), frozenset({0, 1}), frozenset({2})],
+                 [frozenset(), frozenset(), frozenset({3})]]
+        check_decomposition(instance, allocation, Decomposition(*map(tuple, parts)))
+        parts[0][agent], parts[1][agent] = frozenset(clean), frozenset(supplementary)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            check_decomposition(instance, allocation, Decomposition(*map(tuple, parts)))

@@ -107,6 +107,10 @@ class TestWelfareMeasures:
         with pytest.raises(ValidationError):
             pmean_welfare(worked_example, pool, 0)
 
+    def test_pmean_with_no_positive_utility_is_zero(self, worked_example):
+        pool = Allocation.from_bundles(worked_example, [range(6), (), ()])
+        assert pmean_welfare(worked_example, pool, -1.0) == 0.0
+
     def test_usw(self, worked_example):
         result = solve(worked_example, MaxNashWelfare())
         assert usw(worked_example, result.allocation) == 18

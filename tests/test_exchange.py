@@ -82,6 +82,11 @@ class TestBuild:
         with pytest.raises(PreconditionError):
             ExchangeGraph(instance, (frozenset({2}), frozenset({0, 1})))
 
+    def test_rejects_wrong_bundle_count(self):
+        instance = _instance(UniformMatroid(2, 1), UniformMatroid(2, 1))
+        with pytest.raises(PreconditionError, match="^expected 3 clean bundles$"):
+            ExchangeGraph(instance, (frozenset({0, 1}), frozenset()))
+
     def test_dot_dump(self):
         instance = _instance(UniformMatroid(2, 1))
         graph = ExchangeGraph(instance, (frozenset({1}), frozenset({0})))
@@ -270,6 +275,12 @@ class TestAugment:
             assert sorted(graph.owner) == list(range(instance.m))
             moved += 1
         assert moved > 80
+
+    def test_empty_path_refused(self):
+        instance = _instance(UniformMatroid(2, 1))
+        graph = ExchangeGraph(instance, (frozenset({0, 1}), frozenset()))
+        with pytest.raises(PreconditionError, match="^empty transfer path$"):
+            augment(graph, (), 1)
 
     def test_invalid_path_raises(self):
         instance = _instance(MarkedMatroid(2, frozenset({0})))

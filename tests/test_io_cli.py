@@ -13,17 +13,26 @@ from hypothesis import strategies as st
 import bifair.cli
 from bifair.allocation import Allocation
 from bifair.cli import main
-from bifair.errors import ValidationError
+from bifair.errors import InternalInvariantError, ValidationError
 from bifair.io import (
     dumps_canonical,
     emit_allocation,
     emit_instance,
+    emit_matroid,
+    load_instance,
     parse_allocation,
     parse_instance,
     random_instance,
 )
 from bifair.solver import SolveResult
-from bifair.valuation import Instance, rescale_pair
+from bifair.valuation import (
+    BivaluedValuation,
+    ExplicitMatroid,
+    Instance,
+    MarkedMatroid,
+    Matroid,
+    rescale_pair,
+)
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
 
@@ -160,6 +169,16 @@ class TestInstanceParsing:
         instance = parse_instance(data)
         assert instance.c == 3
         assert instance.scale == 2
+        emitted = emit_instance(instance)
+        assert (emitted["a"], emitted["b"], "c" in emitted) == (2, 6, False)
+        assert emit_instance(parse_instance(emitted)) == emitted
+
+    def test_unknown_matroid_class_not_serialized(self):
+        class Free(Matroid):
+            __slots__ = ()
+
+        with pytest.raises(ValidationError, match="^cannot serialize matroid Free$"):
+            emit_matroid(Free(), ("x",))
 
     def test_indivisible_pair_rejected(self):
         with pytest.raises(ValidationError, match="NP-hard"):
@@ -193,8 +212,58 @@ class TestAllocationParsing:
         with pytest.raises(ValidationError):
             parse_allocation(data, instance)
 
+    def test_unsupported_version(self):
+        instance = random_instance("marked", 1, 1, 2, 4)
+        data = {"version": 2, "unallocated": ["g1"], "bundles": [[]]}
+        with pytest.raises(ValidationError, match="^unsupported allocation version 2$"):
+            parse_allocation(data, instance)
+
+
+class TestExplicitKeyNames:
+    """Rank keys join good names with commas, so an explicit table cannot
+    state a good whose name is empty or holds a comma."""
+
+    @pytest.mark.parametrize("goods", [("x,y", "z"), ("", "z")], ids=["comma", "empty"])
+    def test_load_refuses_the_name(self, tmp_path, capsys, goods):
+        ranks = {"": 0, goods[0]: 1, "z": 1, f"{goods[0]},z": 2}
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "version": 1, "c": 3, "goods": list(goods),
+            "agents": [{"matroid": {"type": "uniform", "cap": 1}},
+                       {"matroid": {"type": "explicit", "rank": ranks}}],
+        }), encoding="utf-8")
+        assert main(["solve", str(inst)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: agent 2: good {goods[0]!r} cannot appear in an explicit rank key\n"
+        )
+
+    @pytest.mark.parametrize("goods", [("x,y", "z"), ("", "z")], ids=["comma", "empty"])
+    def test_emit_refuses_the_name(self, goods):
+        valuation = BivaluedValuation(2, ExplicitMatroid(2, (0, 1, 1, 2)))
+        with pytest.raises(ValidationError, match="cannot appear in an explicit rank key"):
+            emit_instance(Instance(goods, 2, (valuation,)))
+
+    @pytest.mark.parametrize("goods", [("x,y", "z"), ("", "z")], ids=["comma", "empty"])
+    def test_other_matroids_keep_the_name(self, goods):
+        valuation = BivaluedValuation(2, MarkedMatroid(2, frozenset({0})))
+        data = emit_instance(Instance(goods, 2, (valuation,)))
+        assert data["agents"][0]["matroid"]["marked"] == [goods[0]]
+        assert emit_instance(parse_instance(data)) == data
+
+    def test_legal_names_round_trip_through_a_file(self, tmp_path):
+        table = (0, 1, 1, 1, 1, 2, 2, 2)  # goods 0 and 1 are parallel; good 2 is free
+        valuation = BivaluedValuation(3, ExplicitMatroid(3, table))
+        instance = Instance(("x y", "é", "-"), 3, (valuation,), ("t",))
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_canonical(emit_instance(instance)), encoding="utf-8")
+        assert load_instance(path) == instance
+
 
 class TestGeneratedInstances:
+    def test_unknown_family(self):
+        with pytest.raises(ValidationError, match="^unknown family 'ring'; pick one of "):
+            random_instance("ring", 1, 1, 2, 0)
+
     def test_seeded_generation_is_byte_identical(self):
         for family in FAMILIES:
             a = dumps_canonical(emit_instance(random_instance(family, 3, 6, 2, 42)))
@@ -476,6 +545,17 @@ class TestOracleCheckReports:
         assert "Traceback" not in err
 
 
+def test_broken_invariant_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(instance, criterion):
+        raise InternalInvariantError("bundle 1 unclean")
+
+    monkeypatch.setattr(bifair.cli, "solve", broken)
+    assert main(["solve", str(_worked_example_file(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal invariant violated: bundle 1 unclean\n"
+    assert captured.out == ""
+
+
 def test_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
     inst, alloc = _two_additive_agents(tmp_path, 2, 1)
     assert main(["audit", str(inst), str(alloc), "--pmean", "0.5", "--json"]) == 0
@@ -612,6 +692,20 @@ class TestInputContract:
             tracemalloc.stop()
         assert peak < 4 << 20  # the 2^21 entries of a table would take 16 MiB
 
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"agents": [{"matroid": {"type": "transversal", "slots": 1,
+                                              "edges": {"q": [0]}}}]},
+                     "error: agent 1: unknown good 'q' in edges\n", id="unknown-edge-good"),
+        pytest.param({"version": 2}, "error: unsupported instance version 2\n",
+                     id="version-2"),
+        pytest.param({"a": 1, "b": 3}, "error: give either c or the pair a/b, not both\n",
+                     id="c-and-pair"),
+    ])
+    def test_instance_refusal(self, tmp_path, capsys, fields, message):
+        data = {"version": 1, "c": 3, "goods": ["x"],
+                "agents": [{"matroid": {"type": "marked", "marked": ["x"]}}], **fields}
+        self._solve_rejects(tmp_path, capsys, data, message)
+
     @pytest.mark.parametrize("version", [1.0, True], ids=["float", "bool"])
     def test_version_must_be_an_integer(self, tmp_path, capsys, version):
         inst, alloc = _two_additive_agents(tmp_path, 1, 1)
@@ -713,6 +807,12 @@ class TestCriterionParameters:
         assert code == 0
         assert "0 mismatches" in capsys.readouterr().out
 
+    def test_negative_p_in_scientific_notation_takes_the_equals_form(self, tmp_path, capsys):
+        # argparse on Python 3.10 and 3.11 reads "-1e-3" after "--p " as an option.
+        path = _worked_example_file(tmp_path)
+        assert main(["solve", str(path), "--criterion", "pmean", "--p=-1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["criterion"] == "pmean[p=-0.001]"
+
     @pytest.mark.parametrize("criterion", ["mnw", "leximin"])
     def test_solve_refuses_p_for_other_criteria(self, tmp_path, capsys, criterion):
         path = _worked_example_file(tmp_path)
@@ -741,6 +841,12 @@ class TestNoSilentOptions:
         assert main(args) == 2
         assert "--mms" in capsys.readouterr().err
         assert main(args + ["--mms"]) == 0
+
+    def test_oracle_check_rejects_an_unknown_family(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle-check", "--count", "1", "--families", "marked", "ring"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'ring'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_oracle_check_rejects_fewer_than_one_job(self, capsys, jobs):

@@ -16,8 +16,9 @@ from bifair.allocation import (
 from bifair.errors import SizeLimitError
 from bifair.io import random_instance
 from bifair.oracle import (
-    _all_utility_vectors,
-    _optimum_of,
+    _all_vectors,
+    _best_groups,
+    _sorted_groups,
     brute_force_optima,
     brute_force_optimum,
     certify_dominating,
@@ -35,6 +36,7 @@ from bifair.valuation import (
     ExplicitMatroid,
     Instance,
     MarkedMatroid,
+    bundle_value_table,
 )
 from conftest import two_agent_instance
 from helpers import all_decompositions, all_utility_vectors, certify_reference
@@ -103,7 +105,7 @@ class TestBruteForceOptimum:
             vectors = all_utility_vectors(instance)
             optima = brute_force_optima(instance, criteria)
             for criterion, result in zip(criteria, optima):
-                expected = _optimum_of(instance, criterion, vectors).optimal_vectors
+                expected = _best_groups(criterion, _sorted_groups(vectors)).optimal_vectors
                 assert result.optimal_vectors == expected, (family, n, m, criterion.name)
 
 
@@ -130,7 +132,7 @@ class TestDpAndScoring:
         for n in range(1, 5):
             for m in range(7):
                 instance = random_instance(family, n, m, rng.choice([2, 3]), rng)
-                assert _all_utility_vectors(instance) == all_utility_vectors(
+                assert _all_vectors(instance, bundle_value_table) == all_utility_vectors(
                     instance, pool=False
                 ), (family, n, m)
 
@@ -143,7 +145,7 @@ class TestDpAndScoring:
         for valuations in ((explicit,), (explicit, marked), (marked, explicit, explicit),
                            (explicit, marked, explicit, marked)):
             instance = Instance(goods, 3, valuations)
-            assert _all_utility_vectors(instance) == all_utility_vectors(
+            assert _all_vectors(instance, bundle_value_table) == all_utility_vectors(
                 instance, pool=False
             ), len(valuations)
 
@@ -157,9 +159,11 @@ class TestDpAndScoring:
                 MaxNashWelfare(), Leximin(c), PMeanWelfare(-1.0), PMeanWelfare(0.5),
                 PMeanWelfare(-20.0), PMeanWelfare(-1000.0),
             ]
-            for vectors in (_all_utility_vectors(instance), all_utility_vectors(instance)):
+            for vectors in (_all_vectors(instance, bundle_value_table),
+                            all_utility_vectors(instance)):
+                groups = _sorted_groups(vectors)
                 for criterion in criteria:
-                    assert _optimum_of(instance, criterion, vectors).optimal_vectors == (
+                    assert _best_groups(criterion, groups).optimal_vectors == (
                         _optimum_per_vector(criterion, vectors)
                     ), (family, n, m, criterion.name)
 

@@ -47,6 +47,9 @@ class TestImportBoundary:
     def test_no_layer_loads_dataclasses_or_inspect(self, module):
         assert not _modules_loaded_by(f"import {module}") & {"dataclasses", "inspect"}
 
+    def test_cli_loads_no_oracle_or_audit(self):
+        assert not _modules_loaded_by("import bifair.cli") & {"bifair.oracle", "bifair.audit"}
+
     def test_package_import_loads_no_submodule(self):
         assert {name for name in _modules_loaded_by("import bifair")
                 if name.startswith("bifair")} == {"bifair"}

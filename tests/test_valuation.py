@@ -82,6 +82,18 @@ class TestRank:
         assert matroid.rank({0, 1, 2}) == 2
         assert brute_rank(matroid, frozenset({0, 1, 2})) == 2
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: PartitionMatroid(2, (frozenset({2}),), (1,)),
+                     "good 2 outside ground set", id="partition"),
+        pytest.param(lambda: MarkedMatroid(2, frozenset({-1})),
+                     "marked good outside ground set", id="marked"),
+        pytest.param(lambda: TransversalMatroid(2, 1, (frozenset({0}),)),
+                     "transversal adjacency must cover every good", id="transversal"),
+    ])
+    def test_constructor_refusals(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
     def test_explicit_missing_entry(self):
         # Only the empty set is ranked; the table is refused before any rank query.
         with pytest.raises(MalformedMatroidError, match="has 1 of 4 subsets"):
@@ -333,6 +345,16 @@ class TestValidateExplicit:
         val = BivaluedValuation(2, ExplicitMatroid(3, tuple(self._uniform_table(3, 2))))
         assert validate_explicit(val) == []
 
+    def test_only_explicit_tables_are_audited(self):
+        with pytest.raises(ValidationError, match="^only explicit rank tables can be audited$"):
+            validate_explicit(BivaluedValuation(2, UniformMatroid(2, 1)))
+
+    def test_empty_set_must_rank_zero(self):
+        val = BivaluedValuation(2, ExplicitMatroid(1, (1, 1)))
+        assert [(v.axiom, v.subset, v.goods, v.detail) for v in validate_explicit(val)] == [
+            ("normalization", (), (), "rank(empty) = 1"),
+        ]
+
     def test_jump_marginal_reported(self):
         table = self._uniform_table(2, 2)
         table[0b01] = 0  # rank jumps 0 -> 2 when good 1 arrives
@@ -487,3 +509,20 @@ def test_transversal_chain_ranks_without_recursion():
     adjacency = tuple(frozenset({max(g - 1, 0), g}) for g in range(m))
     matroid = TransversalMatroid(m, m, adjacency)
     assert matroid.rank(range(m)) == m
+
+
+class TestInstanceRefusals:
+    VALUATION = BivaluedValuation(2, UniformMatroid(2, 1))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"valuations": ()}, "instance needs at least one agent", id="no-agents"),
+        pytest.param({"agent_names": ("a", "b")}, "one name per agent required",
+                     id="name-count"),
+        pytest.param({"scale": 0}, "scale must be a positive integer", id="scale"),
+        pytest.param({"valuations": (BivaluedValuation(2, UniformMatroid(3, 1)),)},
+                     "matroid is defined over 3 goods, instance has 2", id="ground-set"),
+    ])
+    def test_refused(self, kwargs, message):
+        args = {"goods": ("x", "y"), "c": 2, "valuations": (self.VALUATION,), **kwargs}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Instance(**args)
