@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from typing import Iterable
 
@@ -27,6 +28,7 @@ from .valuation import (
     PartitionMatroid,
     TransversalMatroid,
     UniformMatroid,
+    check_c,
     rescale_pair,
     validate_explicit,
 )
@@ -36,16 +38,16 @@ ALLOCATION_VERSION = 1
 
 GENERATOR_FAMILIES = ("marked", "uniform", "partition", "transversal")
 
+_STR, _INT, _LIST = {str}, {int}, {list}
+
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ValidationError(f"{where}: missing fields {sorted(missing)}")
+    if not allowed.issuperset(obj):
+        raise ValidationError(f"{where}: unknown fields {sorted(obj.keys() - allowed)}")
+    if not required.issubset(obj):
+        raise ValidationError(f"{where}: missing fields {sorted(required - obj.keys())}")
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -62,12 +64,12 @@ def _typed(value, kind: type, where: str, what: str):
 
 
 def _good_indices(names: list[str], index: dict[str, int], where: str) -> frozenset[int]:
-    out = set()
-    for name in _typed(names, list, where, "good names"):
-        if not isinstance(name, str) or name not in index:
-            raise ValidationError(f"{where}: unknown good {name!r}")
-        out.add(index[name])
-    return frozenset(out)
+    """The ids of a list of good names, looked up in one pass; the first bad name is named."""
+    try:
+        return frozenset(map(index.__getitem__, _typed(names, list, where, "good names")))
+    except (KeyError, TypeError):
+        bad = next(name for name in names if not isinstance(name, str) or name not in index)
+        raise ValidationError(f"{where}: unknown good {bad!r}") from None
 
 
 def _construct(where: str, cls: type, *args):
@@ -105,7 +107,8 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
         return _construct(where, PartitionMatroid, m, parts, caps)
     if kind == "marked":
         _require_keys(obj, {"type", "marked"}, {"marked"}, where)
-        return _construct(where, MarkedMatroid, m, _good_indices(obj["marked"], index, where))
+        # Ids read from the index lie in the ground set, which is all the constructor checks.
+        return MarkedMatroid(m, _good_indices(obj["marked"], index, where))
     if kind == "transversal":
         _require_keys(obj, {"type", "slots", "edges"}, {"slots", "edges"}, where)
         slots = _typed(obj["slots"], int, where, "slots")
@@ -165,20 +168,16 @@ def parse_instance(data: dict) -> Instance:
     if _typed(data["version"], int, "instance", "version") != INSTANCE_VERSION:
         raise ValidationError(f"unsupported instance version {data['version']!r}")
     goods = tuple(_typed(data["goods"], list, "instance", "goods"))
-    if not all(isinstance(name, str) for name in goods):
+    if not all(map(isinstance, goods, itertools.repeat(str))):
         raise ValidationError("instance: goods must be a list of strings")
-    index = {name: g for g, name in enumerate(goods)}
+    index = dict(zip(goods, range(len(goods))))
 
     scale = 1
     if "c" in data:
         if "a" in data or "b" in data:
             raise ValidationError("give either c or the pair a/b, not both")
         c = data["c"]
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValidationError(
-                f"c must be an integer >= 2; got {c!r} (non-integer value "
-                f"ratios make the problem NP-hard and are rejected)"
-            )
+        check_c(c)
     elif "a" in data and "b" in data:
         c = rescale_pair(data["a"], data["b"])
         scale = data["a"]
@@ -262,14 +261,13 @@ def emit_allocation(
     decomposition: Decomposition | None = None,
     criterion: str | None = None,
 ) -> dict:
-    def names(ids: Iterable[int]) -> list[str]:
-        return [instance.goods[g] for g in sorted(ids)]
-
+    goods = instance.goods
+    ordered = [sorted(bundle) for bundle in allocation.bundles]
     utilities = list(utility_vector(instance, allocation))
     data: dict = {
         "version": ALLOCATION_VERSION,
-        "unallocated": names(allocation.bundle(0)),
-        "bundles": [names(allocation.bundle(i)) for i in instance.agents],
+        "unallocated": [goods[g] for g in ordered[0]],
+        "bundles": [[goods[g] for g in bundle] for bundle in ordered[1:]],
         "utilities": utilities,
         "sorted_utilities": sorted(utilities),
         "scale": instance.scale,
@@ -277,10 +275,10 @@ def emit_allocation(
     if criterion is not None:
         data["criterion"] = criterion
     if decomposition is not None:
-        data["clean"] = [names(decomposition.clean[i]) for i in instance.agents]
-        data["supplementary"] = [
-            names(decomposition.supplementary[i]) for i in instance.agents
-        ]
+        for key, parts in (("clean", decomposition.clean),
+                           ("supplementary", decomposition.supplementary)):
+            data[key] = [[goods[g] for g in ordered[i] if g in parts[i]]
+                         for i in instance.agents]
     return data
 
 
@@ -331,8 +329,58 @@ def load_allocation(path: str | Path, instance: Instance) -> Allocation:
 
 
 def dumps_canonical(data: dict) -> str:
-    """Stable JSON rendering so seeded generation is byte-identical."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, ASCII-escaped.
+
+    Every JSON file bifair writes is these bytes. ``indent`` sends that call
+    to its pure-Python encoder, so lists, tuples, ``str``-keyed dicts,
+    strings and exact ints are written here; any other value (a float, bool,
+    None, an empty container, or a dict with other keys) is written by the
+    call itself. The pieces are joined once, so no level copies the text below it.
+    """
+    out: list[str] = []
+    _canonical(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _canonical(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s text to ``out`` in pieces; ``newline`` breaks and indents its lines."""
+    kind = value.__class__
+    inner = newline + "  "
+    if kind is str:
+        out.append(quote(value))
+    elif kind is int:
+        out.append(str(value))
+    elif (kind is list or kind is tuple) and value:
+        kinds = set(map(type, value))
+        if kinds == _STR:
+            items = map(quote, value)
+        elif kinds == _INT:
+            items = map(str, value)
+        elif kinds == _LIST and set(map(type, itertools.chain.from_iterable(value))) <= _STR:
+            # Lists of good names (bundles, parts) take no call per list.
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = [f"[{deeper}{sep.join(map(quote, names))}{inner}]" if names else "[]"
+                     for names in value]
+        else:
+            out.append("[")
+            seps = itertools.chain((inner,), itertools.repeat("," + inner))
+            for sep, item in zip(seps, value):
+                out.append(sep)
+                _canonical(item, inner, out)
+            out += (newline, "]")
+            return
+        out += ("[", inner, ("," + inner).join(items), newline, "]")
+    elif kind is dict and value and set(map(type, value)) <= _STR:
+        out.append("{")
+        seps = itertools.chain((inner,), itertools.repeat("," + inner))
+        for sep, key in zip(seps, sorted(value)):
+            out += (sep, quote(key), ": ")
+            _canonical(value[key], inner, out)
+        out += (newline, "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def _random_matroid(family: str, m: int, rng: random.Random) -> Matroid:

@@ -5,8 +5,11 @@ A record lists its constructor fields in ``_fields``, in order, and its
 index built from the fields). Equality, hashing, repr and pickling read the
 fields only, so derived slots take no part. Records are frozen: a
 constructor validates its arguments, then passes every slot's value to
-``_setslots``, and any later assignment raises. Pickling and copying
-call the constructor again, so they validate and rebuild the derived slots.
+``_setslots``, and any later assignment raises. The two records that a
+parsed instance builds per agent, ``MarkedMatroid`` and
+``BivaluedValuation``, call ``object.__setattr__`` once per slot instead,
+at half the cost. Pickling and copying call the constructor again, so they
+validate and rebuild the derived slots.
 """
 
 from __future__ import annotations

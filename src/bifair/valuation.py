@@ -160,9 +160,10 @@ class MarkedMatroid(Matroid):
     __slots__ = _fields = ("m", "marked")
 
     def __init__(self, m: int, marked: GoodSet) -> None:
-        if any(not 0 <= g < m for g in marked):
+        if marked and (min(marked) < 0 or max(marked) >= m):
             raise ValidationError("marked good outside ground set")
-        self._setslots(m, marked)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "marked", marked)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         return len(self.marked.intersection(goods))
@@ -341,9 +342,9 @@ class BivaluedValuation(Record):
     __slots__ = _fields = ("c", "matroid")
 
     def __init__(self, c: int, matroid: Matroid) -> None:
-        if not isinstance(c, int) or c < 2:
-            raise ValidationError(f"c must be an integer >= 2, got {c!r}")
-        self._setslots(c, matroid)
+        check_c(c)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "matroid", matroid)
 
     def rank(self, goods: AbstractSet[int]) -> int:
         return self.matroid.rank(goods)
@@ -387,11 +388,7 @@ class Instance(Record):
         agent_names: tuple[str, ...] = (),
         scale: int = 1,
     ) -> None:
-        if not isinstance(c, int) or c < 2:
-            raise ValidationError(
-                f"c must be an integer >= 2 (non-integer ratios are rejected "
-                f"as computationally intractable), got {c!r}"
-            )
+        check_c(c)
         m = len(goods)
         if len(set(goods)) != m:
             raise ValidationError("good names must be unique")
@@ -416,6 +413,15 @@ class Instance(Record):
 
     def value(self, i: int, goods: AbstractSet[int]) -> int:
         return self.valuation(i).value(goods)
+
+
+def check_c(c: object) -> None:
+    """Refuse a ``c`` that is not an integer >= 2; a bool is not an integer."""
+    if c.__class__ is not int or c < 2:
+        raise ValidationError(
+            f"c must be an integer >= 2; got {c!r} (non-integer value "
+            f"ratios make the problem NP-hard and are rejected)"
+        )
 
 
 def rescale_pair(a: int, b: int) -> int:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import bifair.cli
 from bifair.allocation import Allocation
+from bifair.audit import audit_allocation
 from bifair.cli import main
 from bifair.errors import InternalInvariantError, ValidationError
 from bifair.io import (
@@ -24,7 +25,7 @@ from bifair.io import (
     parse_instance,
     random_instance,
 )
-from bifair.solver import SolveResult
+from bifair.solver import SolveResult, make_criterion, solve
 from bifair.valuation import (
     BivaluedValuation,
     ExplicitMatroid,
@@ -194,6 +195,31 @@ class TestInstanceParsing:
         with pytest.raises(ValidationError):
             parse_instance(data)
 
+    @pytest.mark.parametrize("c, agents", [
+        pytest.param(2.5, [{"matroid": {"type": "uniform", "cap": 1}}], id="float"),
+        pytest.param(True, [{"matroid": {"type": "uniform", "cap": 1}}], id="bool"),
+        pytest.param(1, [{"matroid": {"type": "uniform", "cap": 1}}], id="one"),
+        pytest.param(1, [], id="one-without-agents"),
+    ])
+    def test_bad_c_has_one_message(self, c, agents):
+        with pytest.raises(ValidationError) as caught:
+            parse_instance({"version": 1, "c": c, "goods": ["a"], "agents": agents})
+        assert str(caught.value) == (
+            f"c must be an integer >= 2; got {c!r} (non-integer value "
+            f"ratios make the problem NP-hard and are rejected)"
+        )
+
+    def test_constructors_share_the_c_message(self):
+        expected = ("c must be an integer >= 2; got 1 (non-integer value "
+                    "ratios make the problem NP-hard and are rejected)")
+        with pytest.raises(ValidationError) as caught:
+            BivaluedValuation(1, MarkedMatroid(1, frozenset()))
+        assert str(caught.value) == expected
+        valuation = BivaluedValuation(2, MarkedMatroid(1, frozenset()))
+        with pytest.raises(ValidationError) as caught:
+            Instance(("a",), 1, (valuation,))
+        assert str(caught.value) == expected
+
 
 class TestAllocationParsing:
     def test_round_trip(self):
@@ -217,6 +243,146 @@ class TestAllocationParsing:
         data = {"version": 2, "unallocated": ["g1"], "bundles": [[]]}
         with pytest.raises(ValidationError, match="^unsupported allocation version 2$"):
             parse_allocation(data, instance)
+
+
+# A bad entry of a list of good names, and the message that names it.
+_BAD_NAMES = [
+    pytest.param(["g1", "q"], "unknown good 'q'", id="unknown"),
+    pytest.param(["g1", 1], "unknown good 1", id="non-string"),
+    pytest.param([[], "q"], "unknown good []", id="unhashable"),
+    pytest.param(["g1", {}], "unknown good {}", id="unhashable-object"),
+    pytest.param("g1", "good names must be a list, got 'g1'", id="string-not-list"),
+    pytest.param(5, "good names must be a list, got 5", id="int-not-list"),
+    pytest.param(None, "good names must be a list, got None", id="null-not-list"),
+]
+
+
+class TestGoodNameLists:
+    """Every list of good names refuses a bad entry with one exact message."""
+
+    GOODS = ["g1", "g2", "g3"]
+
+    def _instance_error(self, matroid) -> str:
+        data = {"version": 1, "c": 3, "goods": self.GOODS,
+                "agents": [{"matroid": {"type": "uniform", "cap": 1}}, {"matroid": matroid}]}
+        with pytest.raises(ValidationError) as caught:
+            parse_instance(data)
+        return str(caught.value)
+
+    def _allocation_error(self, unallocated, bundles) -> str:
+        instance = random_instance("marked", 2, 3, 3, 1)
+        data = {"version": 1, "unallocated": unallocated, "bundles": bundles}
+        with pytest.raises(ValidationError) as caught:
+            parse_allocation(data, instance)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("names, message", _BAD_NAMES)
+    def test_marked(self, names, message):
+        assert self._instance_error({"type": "marked", "marked": names}) == (
+            f"agent 2: {message}"
+        )
+
+    @pytest.mark.parametrize("names, message", _BAD_NAMES)
+    def test_partition_part(self, names, message):
+        matroid = {"type": "partition", "parts": [["g3"], names], "caps": [1, 1]}
+        assert self._instance_error(matroid) == f"agent 2: {message}"
+
+    def test_explicit_key(self):
+        matroid = {"type": "explicit", "rank": {"": 0, "g1": 1, "q": 1}}
+        assert self._instance_error(matroid) == "agent 2: unknown good 'q'"
+
+    @pytest.mark.parametrize("names, message", _BAD_NAMES)
+    def test_allocation_bundle(self, names, message):
+        assert self._allocation_error([], [["g3"], names]) == f"bundle 2: {message}"
+
+    @pytest.mark.parametrize("names, message", _BAD_NAMES)
+    def test_unallocated(self, names, message):
+        assert self._allocation_error(names, [["g3"], []]) == f"unallocated: {message}"
+
+    def test_bundles_not_a_list(self):
+        assert self._allocation_error([], "g1") == (
+            "allocation: bundles must be a list, got 'g1'"
+        )
+
+    def test_the_first_bad_name_is_named(self):
+        matroid = {"type": "marked", "marked": ["g1", "q", 1, []]}
+        assert self._instance_error(matroid) == "agent 2: unknown good 'q'"
+
+    def test_repeated_names_are_one_good(self):
+        data = {"version": 1, "c": 3, "goods": self.GOODS,
+                "agents": [{"matroid": {"type": "marked", "marked": ["g2", "g2"]}}]}
+        assert parse_instance(data).valuation(1).matroid.marked == frozenset({1})
+
+
+# Strings that need escaping: quotes, backslashes, control and non-ASCII characters.
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀\u2028') | st.characters(),
+                max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+            | st.floats() | _TEXT)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.lists(st.lists(_TEXT, max_size=3), max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=5)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=25,
+)
+
+
+@st.composite
+def _written_documents(draw):
+    """The instance, allocation and audit documents that bifair writes for one draw."""
+    family = draw(st.sampled_from(FAMILIES + ("explicit",)))
+    n, m, c = draw(st.integers(1, 3)), draw(st.integers(0, 6)), draw(st.integers(2, 4))
+    instance = random_instance(
+        "partition" if family == "explicit" else family, n, m, c, draw(st.integers(0, 2**16))
+    )
+    valuations = instance.valuations
+    if family == "explicit":
+        valuations = tuple(
+            BivaluedValuation(c, ExplicitMatroid(m, tuple(v.matroid.rank_table())))
+            for v in valuations
+        )
+    goods = tuple(draw(st.lists(_TEXT.filter(lambda name: name and "," not in name),
+                                min_size=m, max_size=m, unique=True)))
+    names = tuple(draw(st.lists(_TEXT, min_size=n, max_size=n)))
+    instance = Instance(goods, c, valuations, names, draw(st.sampled_from((1, 3))))
+    name = draw(st.sampled_from(("mnw", "leximin")))
+    result = solve(instance, make_criterion(name))
+    report = audit_allocation(instance, result.allocation, pmean_ps=(0.5, -1.0),
+                              with_mms=True, criterion_hint=name)
+    return [
+        emit_instance(instance),
+        emit_allocation(instance, result.allocation, result.decomposition, name),
+        emit_allocation(instance, result.allocation),
+        report.to_dict(),
+    ]
+
+
+class TestCanonicalJson:
+    """``dumps_canonical`` writes exactly the bytes of the stdlib call it stands for."""
+
+    @staticmethod
+    def _stdlib(doc) -> str:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_random_documents(self, doc):
+        assert dumps_canonical(doc) == self._stdlib(doc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(docs=_written_documents())
+    def test_every_document_bifair_writes(self, docs):
+        for doc in docs:
+            assert dumps_canonical(doc) == self._stdlib(doc)
+
+    def test_non_finite_floats_and_fallback_values(self):
+        doc = {"f": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+               "k": {2: [1, "x"], 1: {}}, "t": ((), ("a", 1)), "b": [True, 1, None]}
+        assert dumps_canonical(doc) == self._stdlib(doc)
 
 
 class TestExplicitKeyNames:
@@ -534,6 +700,8 @@ class TestOracleCheckReports:
             artifact["solver_sorted_utilities"]
         )
         assert artifact["solver_sorted_utilities"] not in artifact["optimal_sorted_utilities"]
+        text = (reports / "mismatch-0000.json").read_text(encoding="utf-8")
+        assert text == json.dumps(artifact, indent=2, sort_keys=True) + "\n"
 
     def test_unwritable_report_dir(self, tmp_path, capsys):
         blocker = tmp_path / "afile"

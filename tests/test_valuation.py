@@ -87,6 +87,8 @@ class TestRank:
                      "good 2 outside ground set", id="partition"),
         pytest.param(lambda: MarkedMatroid(2, frozenset({-1})),
                      "marked good outside ground set", id="marked"),
+        pytest.param(lambda: MarkedMatroid(2, frozenset({0, 2})),
+                     "marked good outside ground set", id="marked-past-m"),
         pytest.param(lambda: TransversalMatroid(2, 1, (frozenset({0}),)),
                      "transversal adjacency must cover every good", id="transversal"),
     ])
