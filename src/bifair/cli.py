@@ -51,9 +51,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = bio.load_instance(args.instance)
     criterion = make_criterion(args.criterion, p=args.p)
     result = solve(instance, criterion)
-    payload = bio.emit_allocation(
-        instance, result.allocation, result.decomposition, criterion.name
-    )
+    payload = bio.emit_allocation(instance, result.allocation, result.decomposition,
+                                  criterion.name, utilities=result.utilities)
     _write(bio.dumps_canonical(payload), args.output)
     if args.trace:
         _write_file(result.trace.to_jsonl() + "\n", args.trace)

@@ -92,14 +92,15 @@ class ExchangeGraph(MutableRecord):
         return "\n".join(lines)
 
 
-def shortest_path(graph: ExchangeGraph, sources: Iterable[int]) -> tuple[int, ...] | None:
+def shortest_path(graph: ExchangeGraph, sources: AbstractSet[int]) -> tuple[int, ...] | None:
     """Breadth-first shortest path from any source good to the pool ``clean[0]``.
 
     Among equal-length paths the lexicographically smallest good-id sequence
-    wins: each BFS layer is processed in path order and neighbors are
-    explored in ascending id, so the first path that reaches the pool is the
-    canonical one. Returns ``None`` when the pool is unreachable, and then
-    adds every good the search reached to ``graph.dead``.
+    wins: a pool good among the sources is the whole path, the least one;
+    otherwise layers are expanded in path order, and the first good with a
+    pool good among its out-neighbors ends the path, at the least such good.
+    Returns ``None`` when the pool is unreachable, and then adds every good
+    the search reached to ``graph.dead``.
 
     Dead goods are neither started from nor enqueued. This keeps the
     canonical path: no dead good has an edge to a live one, so every live
@@ -107,24 +108,21 @@ def shortest_path(graph: ExchangeGraph, sources: Iterable[int]) -> tuple[int, ..
     the order of the rest within each layer. Pool goods are never dead.
     """
     targets, dead = graph.clean[0], graph.dead
-    frontier = sorted(set(sources) - dead)
-    parent: dict[int, int | None] = {g: None for g in frontier}
-
-    def path_to(g: int) -> tuple[int, ...]:
-        path: list[int] = []
-        node: int | None = g
-        while node is not None:
-            path.append(node)
-            node = parent[node]
-        return tuple(reversed(path))
-
+    hits = targets.intersection(sources)
+    if hits:
+        return (min(hits),)
+    frontier = sorted(sources - dead)
+    parent: dict[int, int | None] = dict.fromkeys(frontier)
     while frontier:
-        for g in frontier:
-            if g in targets:
-                return path_to(g)
         next_frontier: list[int] = []
         for g in frontier:
-            for h in graph.out_neighbors(g):
+            out = graph.out_neighbors(g)
+            if not targets.isdisjoint(out):
+                path = [min(targets.intersection(out)), g]
+                while (g := parent[g]) is not None:
+                    path.append(g)
+                return tuple(reversed(path))
+            for h in out:
                 if h not in parent and h not in dead:
                     parent[h] = g
                     next_frontier.append(h)
@@ -151,21 +149,22 @@ def augment(graph: ExchangeGraph, path: Sequence[int], receiver: int) -> None:
         raise PreconditionError("empty transfer path")
     clean, owner = graph.clean, graph.owner
     losers = [owner[g] for g in path]
-    gainers = [receiver] + losers[:-1]
     sizes = {i: len(clean[i]) for i in (receiver, *losers) if i}
-    for g, loser, gainer in zip(path, losers, gainers):
+    gainer = receiver
+    for g, loser in zip(path, losers):
         clean[loser].discard(g)
         clean[gainer].add(g)
         owner[g] = gainer
+        gainer = loser
     graph.dead.clear()
 
-    instance = graph.instance
+    valuations = graph.instance.valuations
     for i in sorted(sizes):
-        expected = sizes[i] + (i == receiver) - (i == losers[-1])
+        expected = sizes[i] + (i == receiver) - (i == loser)
         if len(clean[i]) != expected:
             raise InternalInvariantError(
                 f"transfer path changed bundle {i} from {sizes[i]} "
                 f"to {len(clean[i])} goods"
             )
-        if not instance.valuation(i).is_clean(clean[i]):
+        if not valuations[i - 1].is_clean(clean[i]):
             raise InternalInvariantError(f"transfer path left bundle {i} unclean")

@@ -10,9 +10,11 @@ tables are audited against the rank axioms at load.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
+import threading
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from typing import Iterable
@@ -260,10 +262,12 @@ def emit_allocation(
     allocation: Allocation,
     decomposition: Decomposition | None = None,
     criterion: str | None = None,
+    utilities: Iterable[int] | None = None,
 ) -> dict:
+    """Allocation file contents; ``utilities``, when given, must be the bundles' values."""
     goods = instance.goods
     ordered = [sorted(bundle) for bundle in allocation.bundles]
-    utilities = list(utility_vector(instance, allocation))
+    utilities = list(utility_vector(instance, allocation) if utilities is None else utilities)
     data: dict = {
         "version": ALLOCATION_VERSION,
         "unallocated": [goods[g] for g in ordered[0]],
@@ -320,12 +324,36 @@ def _read_json(path: str | Path):
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
+_gc_lock = threading.Lock()
+_gc_loads, _gc_was_enabled = 0, False  # loads under way; GC state before the first
+
+
+def _without_gc(load):
+    """``load()`` with cyclic GC paused: a load frees nothing, so each collection only
+    rescans. GC is process-wide, so concurrent loads share one pause."""
+    global _gc_loads, _gc_was_enabled
+    with _gc_lock:
+        if not _gc_loads:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_loads += 1
+    try:
+        return load()
+    finally:
+        with _gc_lock:
+            _gc_loads -= 1
+            if not _gc_loads and _gc_was_enabled:
+                gc.enable()
+
+
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(_read_json(path))
+    """Read and validate an instance file, with cyclic GC paused for the whole process."""
+    return _without_gc(lambda: parse_instance(_read_json(path)))
 
 
 def load_allocation(path: str | Path, instance: Instance) -> Allocation:
-    return parse_allocation(_read_json(path), instance)
+    """Read and validate an allocation file, with cyclic GC paused for the whole process."""
+    return _without_gc(lambda: parse_allocation(_read_json(path), instance))
 
 
 def dumps_canonical(data: dict) -> str:

@@ -12,14 +12,16 @@ pool (agents in play, agents out of play) offers its poorest agent, lowest
 index first, and only those two agents' gains are evaluated: the gain
 decides between the two pools, with ties going to the in-play agent. This
 tie-breaking is what makes the output canonical among all optimal
-allocations. The pools are ``(utility, index)`` heaps. One solver state,
-updated in place, keeps each fact once: utilities only in the pools, bundles
-and owners only in the exchange graph, provisional goods only in a map to
-their holders. A transfer moves only the path's goods between the graph's
-mutable bundles, and the bundles are frozen once, into the result. The
-graph also keeps the goods a failed path search proved unable to reach the
-pool, so the searches before the next transfer skip them; provisional
-hand-outs leave that record valid.
+allocations. The decision depends only on the two heads' utilities, so a
+solve makes it once per distinct pair. The pools are ``(utility, index)``
+heaps; a pool good among the served agent's sources is its path, found
+without a search. One solver state, updated in place, keeps each fact once:
+utilities only in the pools, bundles and owners only in the exchange graph,
+provisional goods only in a map to their holders. A transfer moves only the
+path's goods between the graph's mutable bundles, and the bundles are frozen
+once, into the result. The graph also keeps the goods a failed path search
+proved unable to reach the pool, so the searches before the next transfer
+skip them; provisional hand-outs leave that record valid.
 
 A gain is a plain pair ``(escape, magnitude)`` ordered lexicographically
 by ``compare_gains``. The escape is the value added to an agent at zero
@@ -105,7 +107,9 @@ class Criterion:
         """Score of adding value ``d`` to an agent whose utility is ``u``.
 
         It must strictly fall as ``u`` rises: the solver relies on this to
-        evaluate only the poorest agent of each pool.
+        evaluate only the poorest agent of each pool. The bound criterion's
+        gain must be a pure function of ``(u, d)``: ``solve`` evaluates it
+        once per distinct pair of pool heads and reuses the decision.
         """
         raise NotImplementedError
 
@@ -338,9 +342,6 @@ class _State:
         self.benched: list[tuple[int, int]] = []
         self._lowest_free = 0
 
-    def unallocated_count(self) -> int:
-        return len(self.graph.clean[0]) - len(self.holder)
-
     def lowest_free_good(self) -> int:
         pool, g = self.graph.clean[0], self._lowest_free
         while g not in pool or g in self.holder:
@@ -426,42 +427,50 @@ def solve(
     criterion = criterion.bind(instance)
     state = _State(instance)
     graph = state.graph
+    pool, holder = graph.clean[0], state.holder
+    in_play, benched = state.in_play, state.benched
     trace = SolveTrace()
     c = instance.c
     max_iterations = instance.m + instance.n
+    # (in-play head's utility, benched head's) -> (serve in play?, gain_c, gain_1)
+    decisions: dict[tuple, tuple[bool, str, str]] = {}
 
     iteration = 0
-    while state.unallocated_count() > 0:
+    while len(pool) > len(holder):
         iteration += 1
         if iteration > max_iterations:
             raise InternalInvariantError(
                 f"exceeded the {max_iterations}-iteration bound"
             )
-        agent_c, gain_c = _argmax_min_index(criterion, state.in_play, c)
-        agent_1, gain_1 = _argmax_min_index(criterion, state.benched, 1)
-        gains = (_describe(gain_c), _describe(gain_1))
+        heads = (in_play[0][0] if in_play else None, benched[0][0] if benched else None)
+        decision = decisions.get(heads)
+        if decision is None:
+            agent_c, gain_c = _argmax_min_index(criterion, in_play, c)
+            _, gain_1 = _argmax_min_index(criterion, benched, 1)
+            decision = decisions[heads] = (
+                agent_c is not None and compare_gains(gain_c, gain_1) >= 0,
+                _describe(gain_c), _describe(gain_1))
+        serve, gain_c, gain_1 = decision
 
-        if compare_gains(gain_c, gain_1) >= 0 and agent_c is not None:
-            i = agent_c
+        if serve:
+            i = in_play[0][1]
             if check_invariants:
-                _check_selection(state.in_play, i)
+                _check_selection(in_play, i)
             path = shortest_path(graph, f_set(instance, graph.clean, i))
             if path is None:
                 state.bench()
-                record = TraceRecord(iteration, *gains, i, "removed-from-play")
+                record = TraceRecord(iteration, gain_c, gain_1, i, "removed-from-play")
             else:
                 replacement = state.augment(path, i)
                 record = TraceRecord(
-                    iteration, *gains, i, "augmented", path, None, replacement
+                    iteration, gain_c, gain_1, i, "augmented", path, None, replacement
                 )
         else:
-            i = agent_1
-            if i is None:
-                raise InternalInvariantError("no agent eligible for selection")
+            i = benched[0][1]
             if check_invariants:
-                _check_selection(state.benched, i)
+                _check_selection(benched, i)
             good = state.give_provisional(i)
-            record = TraceRecord(iteration, *gains, i, "provisional", None, good)
+            record = TraceRecord(iteration, gain_c, gain_1, i, "provisional", None, good)
         trace.records.append(record)
         if check_invariants:
             state.check_invariants()

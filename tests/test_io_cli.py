@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bifair.cli
+import bifair.io
 from bifair.allocation import Allocation
 from bifair.audit import audit_allocation
 from bifair.cli import main
@@ -20,6 +23,7 @@ from bifair.io import (
     emit_allocation,
     emit_instance,
     emit_matroid,
+    load_allocation,
     load_instance,
     parse_allocation,
     parse_instance,
@@ -237,6 +241,13 @@ class TestAllocationParsing:
         }
         with pytest.raises(ValidationError):
             parse_allocation(data, instance)
+
+    def test_given_utilities_emit_the_same_document(self):
+        for family in FAMILIES:
+            instance = random_instance(family, 3, 9, 3, 5)
+            result = solve(instance, make_criterion("leximin"))
+            args = (instance, result.allocation, result.decomposition, "leximin")
+            assert emit_allocation(*args, utilities=result.utilities) == emit_allocation(*args)
 
     def test_unsupported_version(self):
         instance = random_instance("marked", 1, 1, 2, 4)
@@ -640,6 +651,82 @@ class TestUnreadableFiles:
             capsys.readouterr()
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")
+
+
+class TestLoadsPauseGarbageCollection:
+    """Loads pause cyclic GC and leave it as the caller had it, on success or error."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        inst = _worked_example_file(tmp_path)
+        alloc = tmp_path / "alloc.json"
+        assert main(["solve", str(inst), "-o", str(alloc)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "c": 3, "goods": ["x"], "agents": []', encoding="utf-8")
+        return inst, alloc, bad
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_good_loads(self, files, gc_state, monkeypatch):
+        inst, alloc, _ = files
+        seen = []
+        parse = bifair.io.parse_instance
+        monkeypatch.setattr(bifair.io, "parse_instance",
+                            lambda data: seen.append(gc.isenabled()) or parse(data))
+        instance = load_instance(inst)
+        assert seen == [False]
+        assert gc.isenabled() is gc_state
+        load_allocation(alloc, instance)
+        assert gc.isenabled() is gc_state
+
+    def test_loads_that_raise(self, files, gc_state):
+        inst, alloc, bad = files
+        instance = load_instance(inst)
+        for load in (lambda: load_instance(bad), lambda: load_allocation(bad, instance),
+                     lambda: load_instance(alloc)):
+            with pytest.raises(ValidationError):
+                load()
+            assert gc.isenabled() is gc_state
+
+    def test_overlapping_loads_share_one_pause(self, files, gc_state, monkeypatch):
+        # Load A starts first and ends first; load B, which began while GC
+        # was already paused, must still leave it as the caller had it.
+        inst, _, _ = files
+        parse = bifair.io.parse_instance
+        a_parsing, b_parsing, a_done = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def parse_in_order(data):
+            name = threading.current_thread().name
+            if name == "A":
+                a_parsing.set()
+                assert b_parsing.wait(5)
+            else:
+                b_parsing.set()
+                assert a_done.wait(5)
+                seen["B after A"] = gc.isenabled()
+            return parse(data)
+
+        monkeypatch.setattr(bifair.io, "parse_instance", parse_in_order)
+
+        def load_a():
+            load_instance(inst)
+            a_done.set()
+
+        a = threading.Thread(target=load_a, name="A")
+        b = threading.Thread(target=load_instance, args=(inst,), name="B")
+        a.start()
+        assert a_parsing.wait(5)
+        b.start()
+        a.join(10)
+        b.join(10)
+        assert seen == {"B after A": False}
+        assert gc.isenabled() is gc_state
 
 
 class TestUnwritableOutputs:

@@ -32,6 +32,7 @@ from bifair.solver import (
     PMeanWelfare,
     SolveTrace,
     TraceRecord,
+    _describe,
     compare_gains,
     make_criterion,
     solve,
@@ -228,6 +229,40 @@ class TestSolveGeneral:
                     ), (family, seed, criterion.name)
         # On these draws every family but marked steals at least once.
         assert all(steals[family] for family in FAMILIES[1:]), steals
+
+    @pytest.mark.parametrize("criterion", [
+        MaxNashWelfare(), Leximin(), PMeanWelfare(-1.0), PMeanWelfare(0.5),
+    ], ids=lambda criterion: criterion.name)
+    def test_trace_gains_follow_the_replayed_pool_heads(self, criterion):
+        # Replaying each record's effect on utilities gives the two pool heads
+        # of the next iteration; its gains must be theirs, and its action the
+        # one compare_gains picks, whatever the solver remembers between
+        # iterations.
+        for family in FAMILIES:
+            for seed in range(12):
+                instance = random_instance(family, 5, 14, 2 + seed % 2, seed)
+                bound, c = criterion.bind(instance), instance.c
+                utility = dict.fromkeys(instance.agents, 0)
+                in_play = set(instance.agents)
+                for record in solve(instance, criterion).trace.records:
+                    heads = [min(((utility[i], i) for i in pool), default=None)
+                             for pool in (in_play, utility.keys() - in_play)]
+                    gains = [BOTTOM_GAIN if head is None else bound.gain(head[0], d)
+                             for head, d in zip(heads, (c, 1))]
+                    where = (family, seed, record.iteration)
+                    assert (record.gain_c, record.gain_1) == tuple(map(_describe, gains)), where
+                    if heads[0] is not None and compare_gains(*gains) >= 0:
+                        assert record.action != "provisional", where
+                        assert record.agent == heads[0][1], where
+                    else:
+                        assert record.action == "provisional", where
+                        assert record.agent == heads[1][1], where
+                    if record.action == "augmented":
+                        utility[record.agent] += c
+                    elif record.action == "provisional":
+                        utility[record.agent] += 1
+                    else:
+                        in_play.remove(record.agent)
 
     def test_utilities_match_value_oracle(self):
         rng = random.Random(19)
@@ -451,6 +486,33 @@ LADDER_DIGESTS = {
     "leximin": "51b4524507ea073962418254ad62fd30005df4c46097b2bf47eaf611fb28561c",
     "mnw": "37dddec4fd0ea80c504fe8565fd9d355480bae2d1a77a425144a24b197104cfe",
 }
+
+
+# SHA-256 of each canonical allocation, a NUL byte, its JSONL trace and a NUL
+# byte, over five random instances per family (n 4-40, m 30-300) under
+# Nash, leximin and two p-mean criteria. Taken before the first-layer path
+# shortcut and the per-solve gain decisions; both must keep every byte.
+RANDOM_DIGESTS = {
+    "marked": "56226b99393d754d881c6240a9ad4f0ec88943c7077dba7ff7632b488437c720",
+    "uniform": "a7181f54849d72817635db09e1192087806a0c542dcc129a7980500b6dff5f9e",
+    "partition": "eb52174f02ab587fb939c443fb6329b238caf2c53644342070dd89b897374991",
+    "transversal": "9f571995afc134fc8dbb39f7c2fb3014e4ed9e6b3f875f0324a18f9da94b97ad",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_outputs_are_pinned(family):
+    digest = hashlib.sha256()
+    for seed, (n, m) in enumerate(((4, 30), (8, 60), (20, 200), (30, 250), (40, 300))):
+        instance = random_instance(family, n, m, 2 + seed % 2, seed)
+        for criterion in (MaxNashWelfare(), Leximin(), PMeanWelfare(-1.0), PMeanWelfare(0.5)):
+            result = solve(instance, criterion)
+            allocation = dumps_canonical(emit_allocation(
+                instance, result.allocation, result.decomposition, criterion.name
+            ))
+            text = allocation + "\0" + result.trace.to_jsonl() + "\0"
+            digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == RANDOM_DIGESTS[family]
 
 
 class TestLadder:
