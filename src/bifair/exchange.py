@@ -6,11 +6,17 @@ g can hand g away and take g' instead without losing any high-value good:
 unallocated pool (bundle 0) acts as an owner that values everything highly,
 so pool goods have edges to every allocated good.
 
+Each agent's bundle lives in a tracker from ``Matroid.track``, which gives
+the agent's transfer-path sources and the edges out of its goods. A marked
+matroid's tracker answers in closed form, from the marked goods the bundle
+lacks and a running rank; the other families' default tracker asks the
+matroid's ``extensions`` and ``rank`` on the live bundle.
+
 Shifting goods along a shortest path from an agent's frontier to another
 bundle gives that agent one more high-value good, keeps every intermediate
 owner whole, and shrinks the path's final bundle by one. ``augment`` makes
-that shift in place: it moves the path's goods between the graph's mutable
-bundles and owner map, and copies no bundle.
+that shift in place: it moves the path's goods between the trackers'
+bundles and updates the owner map, and copies no bundle.
 """
 
 from __future__ import annotations
@@ -19,14 +25,15 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .record import MutableRecord
-from .valuation import GoodSet, Instance
+from .valuation import GoodSet, Instance, Tracker
 
 
 def f_set(instance: Instance, clean: Sequence[AbstractSet[int]], i: int) -> GoodSet:
     """Goods (allocated anywhere or free) that extend agent i's clean bundle.
 
     These are exactly the goods worth the high value c to agent i on top of
-    what they already hold; the agent's transfer paths start here.
+    what they already hold; the agent's transfer paths start here. The
+    solver reads them from agent i's tracker instead; this asks the matroid.
     """
     return frozenset(instance.valuation(i).matroid.extensions(clean[i]))
 
@@ -35,9 +42,13 @@ class ExchangeGraph(MutableRecord):
     """Exchange graph over a clean allocation, with lazily computed edges.
 
     The constructor takes one bundle per index, the pool ``0`` first, and
-    rejects any other count or an agent bundle that is not clean. It then
-    copies them once into ``clean``, a list of mutable sets that
-    ``augment`` changes in place; ``owner`` maps each good to the index of
+    rejects any other count, bundles that overlap or miss a good of
+    ``0..m-1``, and an agent bundle that is not clean. ``trackers[i]`` then
+    tracks a copy of agent i's bundle, and ``clean[i]`` is that tracker's
+    live set; ``clean[0]`` is the pool, a plain set that stands in as its own
+    tracker, since ``augment`` only adds and removes its goods and nothing
+    asks it an exchange question. ``trackers`` is derived from ``clean``, so
+    it takes no part in equality. ``owner`` maps each good to the index of
     the bundle holding it. A solver keeps one graph for a whole solve.
 
     ``dead`` holds goods from which no path reaches the pool ``clean[0]``:
@@ -47,17 +58,28 @@ class ExchangeGraph(MutableRecord):
     they change, clears it; provisional hand-outs leave both alone.
     """
 
-    __slots__ = _fields = ("instance", "clean", "owner", "dead")
+    _fields = ("instance", "clean", "owner", "dead")
+    __slots__ = _fields + ("trackers",)
 
     def __init__(self, instance: Instance, clean: Sequence[Iterable[int]]) -> None:
         if len(clean) != instance.n + 1:
             raise PreconditionError(f"expected {instance.n + 1} clean bundles")
-        for i in instance.agents:
-            if not instance.valuation(i).is_clean(clean[i]):
+        trackers = [valuation.matroid.track(bundle)
+                    for valuation, bundle in zip(instance.valuations, clean[1:])]
+        bundles = [set(clean[0]), *(tracker.goods for tracker in trackers)]
+        owner = {g: idx for idx, bundle in enumerate(bundles) for g in bundle}
+        # No tracker answers a query before its bundle passes these checks.
+        if sum(map(len, bundles)) != len(owner):
+            raise PreconditionError("clean bundles overlap")
+        if owner.keys() != set(range(instance.m)):
+            raise PreconditionError("clean bundles must hold every good and no other")
+        for i, tracker in enumerate(trackers, start=1):
+            if not tracker.is_clean():
                 raise PreconditionError(f"bundle of agent {i} is not clean")
         self.instance = instance
-        self.clean: list[set[int]] = [set(bundle) for bundle in clean]
-        self.owner = {g: idx for idx, bundle in enumerate(self.clean) for g in bundle}
+        self.clean: list[set[int]] = bundles
+        self.trackers: list[Tracker | set[int]] = [bundles[0], *trackers]
+        self.owner = owner
         self.dead: set[int] = set()
 
     def out_neighbors(self, g: int) -> list[int]:
@@ -69,9 +91,7 @@ class ExchangeGraph(MutableRecord):
             # (the pool is either the search target or skippable), so this
             # matches the rank-preservation rule wherever paths matter.
             return [h for h in range(self.instance.m) if h != g]
-        matroid = self.instance.valuation(j).matroid
-        # ``extensions`` skips the goods it is given, so g is the one bundle good left.
-        return [h for h in matroid.extensions(self.clean[j] - {g}) if h != g]
+        return self.trackers[j].exchanges(g)
 
     def edges(self) -> list[tuple[int, int]]:
         """Materialize every edge; intended for dumps and small instances."""
@@ -92,7 +112,7 @@ class ExchangeGraph(MutableRecord):
         return "\n".join(lines)
 
 
-def shortest_path(graph: ExchangeGraph, sources: AbstractSet[int]) -> tuple[int, ...] | None:
+def shortest_path(graph: ExchangeGraph, sources: Iterable[int]) -> tuple[int, ...] | None:
     """Breadth-first shortest path from any source good to the pool ``clean[0]``.
 
     Among equal-length paths the lexicographically smallest good-id sequence
@@ -111,7 +131,7 @@ def shortest_path(graph: ExchangeGraph, sources: AbstractSet[int]) -> tuple[int,
     hits = targets.intersection(sources)
     if hits:
         return (min(hits),)
-    frontier = sorted(sources - dead)
+    frontier = sorted(g for g in sources if g not in dead)
     parent: dict[int, int | None] = dict.fromkeys(frontier)
     while frontier:
         next_frontier: list[int] = []
@@ -136,35 +156,37 @@ def augment(graph: ExchangeGraph, path: Sequence[int], receiver: int) -> None:
 
     Every owner of a path good swaps it for the next good on the path; the
     final good leaves its bundle entirely and the first good goes to the
-    receiver. Only the path's goods move, in ``graph.clean`` and
+    receiver. Only the path's goods move, through ``graph.trackers`` and in
     ``graph.owner``, and ``graph.dead`` is cleared.
 
-    The agent bundles the path touches are then verified: on a shortest
-    path each keeps its size, except that the receiver grows by one and the
-    last good's owner shrinks by one, and each stays clean. Any breach
-    raises ``InternalInvariantError``, since it means the path was invalid;
-    the graph is then left as the path moved it.
+    The agent bundles the path touches are then verified from their
+    trackers: on a shortest path each keeps its size, except that the
+    receiver grows by one and the last good's owner shrinks by one, and each
+    stays clean. Any breach raises ``InternalInvariantError``, since it
+    means the path was invalid; the graph is then left as the path moved it.
     """
     if not path:
         raise PreconditionError("empty transfer path")
-    clean, owner = graph.clean, graph.owner
-    losers = [owner[g] for g in path]
-    sizes = {i: len(clean[i]) for i in (receiver, *losers) if i}
+    clean, owner, trackers = graph.clean, graph.owner, graph.trackers
+    sizes = {receiver: len(clean[receiver])}  # bundle index -> size before
     gainer = receiver
-    for g, loser in zip(path, losers):
-        clean[loser].discard(g)
-        clean[gainer].add(g)
+    for g in path:
+        loser = owner[g]
+        if loser not in sizes:
+            sizes[loser] = len(clean[loser])
+        trackers[loser].remove(g)
+        trackers[gainer].add(g)
         owner[g] = gainer
         gainer = loser
     graph.dead.clear()
 
-    valuations = graph.instance.valuations
-    for i in sorted(sizes):
-        expected = sizes[i] + (i == receiver) - (i == loser)
+    for i, size in sizes.items():
+        if not i:
+            continue
+        expected = size + (i == receiver) - (i == loser)
         if len(clean[i]) != expected:
             raise InternalInvariantError(
-                f"transfer path changed bundle {i} from {sizes[i]} "
-                f"to {len(clean[i])} goods"
+                f"transfer path changed bundle {i} from {size} to {len(clean[i])} goods"
             )
-        if not valuations[i - 1].is_clean(clean[i]):
+        if not trackers[i].is_clean():
             raise InternalInvariantError(f"transfer path left bundle {i} unclean")

@@ -41,6 +41,7 @@ ALLOCATION_VERSION = 1
 GENERATOR_FAMILIES = ("marked", "uniform", "partition", "transversal")
 
 _STR, _INT, _LIST = {str}, {int}, {list}
+_AGENT_KEYS = {"name", "matroid"}
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -188,15 +189,31 @@ def parse_instance(data: dict) -> Instance:
 
     valuations = []
     names = []
+    m, lookup = len(goods), index.__getitem__
     for idx, agent in enumerate(_typed(data["agents"], list, "instance", "agents"), start=1):
-        where = f"agent {idx}"
-        _require_keys(agent, {"name", "matroid"}, {"matroid"}, where)
-        names.append(_typed(agent.get("name", f"agent{idx}"), str, where, "name"))
-        matroid = _parse_matroid(agent["matroid"], len(goods), index, where)
-        valuation = BivaluedValuation(c, matroid)
-        if isinstance(matroid, ExplicitMatroid):
-            _check_explicit(valuation, goods, where)
-        valuations.append(valuation)
+        # A valid agent passes these checks inline; ``_require_keys``, ``_typed`` and
+        # ``_parse_matroid`` see only the agents they reject or that are not marked.
+        if not (agent.__class__ is dict and "matroid" in agent and _AGENT_KEYS.issuperset(agent)):
+            _require_keys(agent, _AGENT_KEYS, {"matroid"}, f"agent {idx}")
+        name = agent["name"] if "name" in agent else f"agent{idx}"
+        if name.__class__ is not str:
+            _typed(name, str, f"agent {idx}", "name")
+        names.append(name)
+        obj, matroid = agent["matroid"], None
+        if obj.__class__ is dict and len(obj) == 2 and obj.get("type") == "marked":
+            marked = obj.get("marked")
+            if marked.__class__ is list:
+                try:
+                    marked = frozenset(map(lookup, marked))
+                except (KeyError, TypeError):
+                    pass
+                else:
+                    matroid = MarkedMatroid(m, marked)
+        if matroid is None:
+            matroid = _parse_matroid(obj, m, index, f"agent {idx}")
+            if isinstance(matroid, ExplicitMatroid):
+                _check_explicit(BivaluedValuation(c, matroid), goods, f"agent {idx}")
+        valuations.append(BivaluedValuation(c, matroid))
     return Instance(goods, c, tuple(valuations), tuple(names), scale)
 
 

@@ -17,9 +17,10 @@ solve makes it once per distinct pair. The pools are ``(utility, index)``
 heaps; a pool good among the served agent's sources is its path, found
 without a search. One solver state, updated in place, keeps each fact once:
 utilities only in the pools, bundles and owners only in the exchange graph,
-provisional goods only in a map to their holders. A transfer moves only the
-path's goods between the graph's mutable bundles, and the bundles are frozen
-once, into the result. The graph also keeps the goods a failed path search
+provisional goods only in a map to their holders. The served agent's sources
+come from its bundle's tracker in the graph. A transfer moves only the path's
+goods between the graph's mutable bundles, and the bundles are frozen once,
+into the result. The graph also keeps the goods a failed path search
 proved unable to reach the pool, so the searches before the next transfer
 skip them; provisional hand-outs leave that record valid.
 
@@ -43,7 +44,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .allocation import Allocation, Decomposition, utility_vector
 from .errors import InternalInvariantError, UnsupportedCriterionError
-from .exchange import ExchangeGraph, f_set, shortest_path
+# ``f_set`` is unused here but stays importable from this module, where the
+# layer trace in ``perfbench/layers.py`` looks it up.
+from .exchange import ExchangeGraph, f_set, shortest_path  # noqa: F401
 from .exchange import augment as augment_path
 from .record import MutableRecord, Record
 from .valuation import Instance
@@ -349,12 +352,15 @@ class _State:
         self._lowest_free = g
         return g
 
-    def pooled(self) -> list[tuple[int, int]]:
-        """Every ``(utility, index)`` entry of the two pools, in index order."""
-        return sorted(self.in_play + self.benched, key=lambda entry: entry[1])
+    def utilities(self) -> tuple[int | None, ...]:
+        """Every agent's pooled utility, in index order; None for an agent in no pool."""
+        utilities: list[int | None] = [None] * (self.instance.n + 1)
+        for u, i in self.in_play + self.benched:
+            utilities[i] = u
+        return tuple(utilities[1:])
 
     def supplementary(self) -> list[set[int]]:
-        """Provisional goods per bundle index, read off ``holder``."""
+        """Provisional goods per bundle index, read off ``holder``; none at index 0."""
         bundles: list[set[int]] = [set() for _ in range(self.instance.n + 1)]
         for g, i in self.holder.items():
             bundles[i].add(g)
@@ -387,12 +393,12 @@ class _State:
         return good
 
     def check_invariants(self) -> None:
-        instance, clean = self.instance, self.graph.clean
-        pooled = self.pooled()
-        if [i for _, i in pooled] != list(instance.agents):
+        instance, clean, owner = self.instance, self.graph.clean, self.graph.owner
+        utilities = self.utilities()
+        if len(self.in_play) + len(self.benched) != instance.n or None in utilities:
             raise InternalInvariantError("agent pools do not hold each agent once")
         provisional = self.supplementary()
-        for u, i in pooled:
+        for i, u in enumerate(utilities, start=1):
             if not instance.valuation(i).is_clean(clean[i]):
                 raise InternalInvariantError(f"clean bundle {i} lost cleanness")
             value = instance.value(i, clean[i] | provisional[i])
@@ -405,7 +411,9 @@ class _State:
                 )
         if not self.holder.keys() <= clean[0]:
             raise InternalInvariantError("provisional goods escaped the pool")
-        if {g: idx for idx, bundle in enumerate(clean) for g in bundle} != self.graph.owner:
+        # The map keeps one bundle per good, so a good held twice shows only in the sizes.
+        if (not sum(map(len, clean)) == len(owner) == instance.m
+                or {g: idx for idx, bundle in enumerate(clean) for g in bundle} != owner):
             raise InternalInvariantError("owner map disagrees with the bundles")
 
 
@@ -420,14 +428,16 @@ def solve(
     solver maintained and a per-iteration trace. With ``check_invariants``
     the loop re-verifies its invariants every iteration (cleanness of every
     bundle, one pool entry per agent with its bundle's utility, the owner
-    map, pool containment, and that the picked agent is its pool's least
-    entry); this is meant for tests and costs roughly a full rank
-    recomputation per bundle per iteration.
+    map and the bundle sizes, pool containment, and that the picked agent is
+    its pool's least entry); this is meant for tests and costs roughly a
+    full rank recomputation per bundle per iteration. These checks
+    and the final check of the pooled utilities call ``Matroid.rank`` on the
+    bundles themselves and read none of the trackers' own counts.
     """
     criterion = criterion.bind(instance)
     state = _State(instance)
     graph = state.graph
-    pool, holder = graph.clean[0], state.holder
+    pool, holder, trackers = graph.clean[0], state.holder, graph.trackers
     in_play, benched = state.in_play, state.benched
     trace = SolveTrace()
     c = instance.c
@@ -456,7 +466,7 @@ def solve(
             i = in_play[0][1]
             if check_invariants:
                 _check_selection(in_play, i)
-            path = shortest_path(graph, f_set(instance, graph.clean, i))
+            path = shortest_path(graph, trackers[i].extensions())
             if path is None:
                 state.bench()
                 record = TraceRecord(iteration, gain_c, gain_1, i, "removed-from-play")
@@ -475,16 +485,19 @@ def solve(
         if check_invariants:
             state.check_invariants()
 
-    decomposition = Decomposition(tuple(map(frozenset, graph.clean)),
-                                  tuple(map(frozenset, state.supplementary())))
-    allocation = decomposition.union()
-    if sum(len(allocation.bundle(i)) for i in instance.agents) != instance.m:
+    clean = tuple(map(frozenset, graph.clean))
+    supplementary = tuple(map(frozenset, state.supplementary()))
+    bundles = [clean[0].difference(holder)]
+    bundles += (part | extra if extra else part
+                for part, extra in zip(clean[1:], supplementary[1:]))
+    if sum(map(len, bundles[1:])) != instance.m:
         raise InternalInvariantError("solver left goods unallocated")
+    allocation = Allocation(tuple(bundles))
     final = utility_vector(instance, allocation)
-    pooled = tuple(u for u, _ in state.pooled())
+    pooled = state.utilities()
     if final != pooled:
         raise InternalInvariantError(f"final utilities {final} disagree with pooled {pooled}")
-    return SolveResult(allocation, decomposition, trace, final)
+    return SolveResult(allocation, Decomposition(clean, supplementary), trace, final)
 
 
 def _check_selection(pool: Sequence[tuple[int, int]], i: int) -> None:

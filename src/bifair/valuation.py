@@ -56,17 +56,55 @@ class Matroid(Record):
         return self.rank(goods | {g}) > self.rank(goods)
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
-        """Every good that ``can_extend`` ``goods``, in ascending order.
-
-        Exchange-graph edges and transfer-path sources are read from this.
-        """
+        """Every good that ``can_extend`` ``goods``, in ascending order."""
         raise NotImplementedError
+
+    def track(self, bundle: Iterable[int]) -> "Tracker":
+        """A tracker over a copy of ``bundle``; see :class:`Tracker`."""
+        return Tracker(self, bundle)
 
     def _check_ground(self, m: int) -> None:
         if self.m != m:
             raise ValidationError(
                 f"matroid is defined over {self.m} goods, instance has {m}"
             )
+
+
+class Tracker:
+    """One bundle, ``goods``, and its exchange answers, kept as goods enter and leave it.
+
+    ``add`` takes a good outside the bundle and ``remove`` one inside it.
+    This default tracker answers from the matroid's ``extensions`` and
+    ``rank`` on ``goods``; a family with a closed form keeps its own counts.
+    """
+
+    __slots__ = ("matroid", "goods")
+
+    def __init__(self, matroid: Matroid, bundle: Iterable[int]) -> None:
+        self.matroid = matroid
+        self.goods = set(bundle)
+
+    def add(self, g: int) -> None:
+        self.goods.add(g)
+
+    def remove(self, g: int) -> None:
+        self.goods.remove(g)
+
+    def extensions(self) -> list[int]:
+        """The goods that would raise the bundle's rank, ascending."""
+        return self.matroid.extensions(self.goods)
+
+    def exchanges(self, g: int) -> list[int]:
+        """The goods other than ``g`` that extend the bundle less its good ``g``, ascending.
+
+        On a clean bundle these are the goods the owner would take in
+        exchange for ``g`` and keep its rank: the exchange graph's edges.
+        """
+        return [h for h in self.matroid.extensions(self.goods - {g}) if h != g]
+
+    def is_clean(self) -> bool:
+        """Whether the bundle's rank equals its size."""
+        return self.matroid.rank(self.goods) == len(self.goods)
 
 
 class UniformMatroid(Matroid):
@@ -176,6 +214,49 @@ class MarkedMatroid(Matroid):
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
         return sorted(self.marked - goods)
+
+    def track(self, bundle: Iterable[int]) -> "MarkedTracker":
+        return MarkedTracker(self, bundle)
+
+
+class MarkedTracker(Tracker):
+    """Closed-form tracker of a marked matroid: no query scans the bundle.
+
+    ``missing`` holds the marked goods outside the bundle and ``rank``
+    counts the marked goods inside it. The goods that extend the bundle are
+    ``missing``, and so are the goods its owner would take for its good g:
+    g would rejoin ``missing`` if marked, but taking g back is no exchange.
+    """
+
+    __slots__ = ("missing", "rank")
+
+    def __init__(self, matroid: MarkedMatroid, bundle: Iterable[int]) -> None:
+        self.matroid = matroid
+        self.goods = goods = set(bundle)
+        self.missing = missing = set(matroid.marked)
+        missing.difference_update(goods)
+        self.rank = len(matroid.marked) - len(missing)
+
+    def add(self, g: int) -> None:
+        self.goods.add(g)
+        if g in self.missing:
+            self.missing.remove(g)
+            self.rank += 1
+
+    def remove(self, g: int) -> None:
+        self.goods.remove(g)
+        if g in self.matroid.marked:
+            self.missing.add(g)
+            self.rank -= 1
+
+    def extensions(self) -> list[int]:
+        return sorted(self.missing)
+
+    def exchanges(self, g: int) -> list[int]:
+        return sorted(self.missing)
+
+    def is_clean(self) -> bool:
+        return self.rank == len(self.goods)
 
 
 class TransversalMatroid(Matroid):

@@ -87,6 +87,22 @@ class TestBuild:
         with pytest.raises(PreconditionError, match="^expected 3 clean bundles$"):
             ExchangeGraph(instance, (frozenset({0, 1}), frozenset()))
 
+    def test_rejects_overlapping_bundles(self):
+        instance = _instance(UniformMatroid(3, 2), UniformMatroid(3, 2))
+        with pytest.raises(PreconditionError, match="^clean bundles overlap$"):
+            ExchangeGraph(instance, (frozenset({1, 2}), frozenset({0}), frozenset({0})))
+
+    @pytest.mark.parametrize("clean", [
+        (set(), {0}, {1}),
+        ({2, 3}, {0}, {1}),
+    ], ids=["good-in-no-bundle", "good-outside-the-ground-set"])
+    def test_rejects_bundles_that_miss_the_goods(self, clean):
+        marked = MarkedMatroid(3, frozenset({0, 1}))
+        instance = _instance(marked, marked)
+        with pytest.raises(PreconditionError,
+                           match="^clean bundles must hold every good and no other$"):
+            ExchangeGraph(instance, clean)
+
     def test_dot_dump(self):
         instance = _instance(UniformMatroid(2, 1))
         graph = ExchangeGraph(instance, (frozenset({1}), frozenset({0})))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bifair
-from bifair.errors import UnsupportedCriterionError, ValidationError
+from bifair.errors import InternalInvariantError, UnsupportedCriterionError, ValidationError
 from bifair.exchange import ExchangeGraph
+from bifair.exchange import augment as augment_path
 from bifair.io import (
     dumps_canonical,
     emit_allocation,
@@ -33,11 +36,12 @@ from bifair.solver import (
     SolveTrace,
     TraceRecord,
     _describe,
+    _State,
     compare_gains,
     make_criterion,
     solve,
 )
-from bifair.valuation import BivaluedValuation, Instance, UniformMatroid
+from bifair.valuation import BivaluedValuation, Instance, MarkedMatroid, UniformMatroid
 from helpers import brute_value, ladder_instance, pmean_optima
 
 FAMILIES = ("marked", "uniform", "partition", "transversal")
@@ -548,3 +552,38 @@ class TestLadder:
         result = solve(instance, Leximin(3))
         assert max(len(record.path or ()) for record in result.trace.records) == n
         assert len(expanded) <= 2 * n
+
+
+def test_check_invariants_sees_a_good_held_twice():
+    # The owner map keeps one bundle per good, so only the sizes show that
+    # good 0 sits in bundle 1 as well as in bundle 2.
+    marked = BivaluedValuation(3, MarkedMatroid(2, frozenset({0, 1})))
+    state = _State(Instance(("x", "y"), 3, (marked, marked)))
+    augment_path(state.graph, (0,), 2)
+    state.in_play[:] = [(0, 1), (3, 2)]
+    state.check_invariants()
+    state.graph.clean[1].add(0)
+    state.in_play[:] = [(3, 1), (3, 2)]
+    assert state.graph.owner == {0: 2, 1: 0}
+    with pytest.raises(InternalInvariantError, match="^owner map disagrees with the bundles$"):
+        state.check_invariants()
+
+
+def test_repeated_solves_on_shared_valuations_retain_no_memory():
+    # Each solve's trackers live in its own exchange graph, so nothing a
+    # solve builds outlives it: 99 more solves leave what is retained as it
+    # was after the first.
+    instance = ladder_instance(n=60, block=20, m=120, c=3)
+    criteria = (MaxNashWelfare(), Leximin(3))
+    tracemalloc.start()
+    try:
+        solve(instance, criteria[0])
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 100):
+            solve(instance, criteria[k % 2])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained - first < 32 * 1024, (first, retained)

@@ -281,6 +281,48 @@ class TestExtensions:
         assert partition.extensions(frozenset()) == [0, 1, 4, 5]
 
 
+class TestTrackers:
+    """A tracker answers as its matroid does on the bundle it has been moved to."""
+
+    def test_random_moves_agree_with_the_rank_function(self):
+        rng = random.Random(61)
+        steps = {family: 0 for family in FAMILIES + ("explicit",)}
+        unclean = dict.fromkeys(steps, 0)
+        for k in range(120):
+            family = FAMILIES[k % len(FAMILIES)]
+            m = rng.randint(1, 7)
+            matroid = random_instance(family, 1, m, 2, rng).valuation(1).matroid
+            start = frozenset(g for g in range(m) if rng.random() < 0.3)
+            for name, candidate in ((family, matroid), ("explicit", _explicit_twin(matroid, m))):
+                bundle = set(start)
+                tracker = candidate.track(start)
+                for _ in range(12):
+                    g = rng.randrange(m)
+                    if g in bundle:
+                        bundle.remove(g)
+                        tracker.remove(g)
+                    else:
+                        bundle.add(g)
+                        tracker.add(g)
+                    assert tracker.goods == bundle
+                    assert tracker.extensions() == candidate.extensions(bundle), (name, bundle)
+                    for own in sorted(bundle):
+                        expected = [h for h in candidate.extensions(bundle - {own}) if h != own]
+                        assert tracker.exchanges(own) == expected, (name, bundle, own)
+                    clean = brute_rank(matroid, frozenset(bundle)) == len(bundle)
+                    assert tracker.is_clean() == clean, (name, bundle)
+                    steps[name] += 1
+                    unclean[name] += not clean
+        assert min(steps.values()) > 200 and min(unclean.values()) > 50, (steps, unclean)
+
+    def test_a_tracker_copies_its_bundle(self):
+        bundle = {0, 2}
+        for matroid in (MarkedMatroid(3, frozenset({0, 1})), UniformMatroid(3, 2)):
+            tracker = matroid.track(bundle)
+            tracker.add(1)
+            assert bundle == {0, 2} and tracker.goods == {0, 1, 2}
+
+
 class TestCleanSubsetAndExchange:
     def test_clean_subsets_stay_clean(self):
         # Any subset of a bundle worth c per good is worth c per good.
