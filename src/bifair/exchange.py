@@ -6,17 +6,16 @@ g can hand g away and take g' instead without losing any high-value good:
 unallocated pool (bundle 0) acts as an owner that values everything highly,
 so pool goods have edges to every allocated good.
 
-Each agent's bundle lives in a tracker from ``Matroid.track``, which gives
-the agent's transfer-path sources and the edges out of its goods. A marked
-matroid's tracker answers in closed form, from the marked goods the bundle
-lacks and a running rank; the other families' default tracker asks the
-matroid's ``extensions`` and ``rank`` on the live bundle.
+The owner's matroid answers on the live bundle: ``Matroid.extensions``
+gives an agent's transfer-path sources and ``Matroid.exchanges`` the edges
+out of its goods. A marked matroid answers both in closed form, from the
+marked goods the bundle lacks.
 
 Shifting goods along a shortest path from an agent's frontier to another
 bundle gives that agent one more high-value good, keeps every intermediate
 owner whole, and shrinks the path's final bundle by one. ``augment`` makes
-that shift in place: it moves the path's goods between the trackers'
-bundles and updates the owner map, and copies no bundle.
+that shift in place: it moves the path's goods between the bundles and
+updates the owner map, and copies no bundle.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .record import MutableRecord
-from .valuation import GoodSet, Instance, Tracker
+from .valuation import GoodSet, Instance
 
 
 def f_set(instance: Instance, clean: Sequence[AbstractSet[int]], i: int) -> GoodSet:
@@ -33,7 +32,8 @@ def f_set(instance: Instance, clean: Sequence[AbstractSet[int]], i: int) -> Good
 
     These are exactly the goods worth the high value c to agent i on top of
     what they already hold; the agent's transfer paths start here. The
-    solver reads them from agent i's tracker instead; this asks the matroid.
+    solver passes the matroid's ``extensions`` list straight to the search
+    instead of freezing it.
     """
     return frozenset(instance.valuation(i).matroid.extensions(clean[i]))
 
@@ -43,13 +43,10 @@ class ExchangeGraph(MutableRecord):
 
     The constructor takes one bundle per index, the pool ``0`` first, and
     rejects any other count, bundles that overlap or miss a good of
-    ``0..m-1``, and an agent bundle that is not clean. ``trackers[i]`` then
-    tracks a copy of agent i's bundle, and ``clean[i]`` is that tracker's
-    live set; ``clean[0]`` is the pool, a plain set that stands in as its own
-    tracker, since ``augment`` only adds and removes its goods and nothing
-    asks it an exchange question. ``trackers`` is derived from ``clean``, so
-    it takes no part in equality. ``owner`` maps each good to the index of
-    the bundle holding it. A solver keeps one graph for a whole solve.
+    ``0..m-1``, and an agent bundle that is not clean. ``clean[i]`` is then
+    a mutable copy of bundle i, so the caller's bundles never change, and
+    ``owner`` maps each good to the index of the bundle holding it. A solver
+    keeps one graph for a whole solve.
 
     ``dead`` holds goods from which no path reaches the pool ``clean[0]``:
     every good a failed ``shortest_path`` search reached. Everything a dead
@@ -58,27 +55,23 @@ class ExchangeGraph(MutableRecord):
     they change, clears it; provisional hand-outs leave both alone.
     """
 
-    _fields = ("instance", "clean", "owner", "dead")
-    __slots__ = _fields + ("trackers",)
+    __slots__ = _fields = ("instance", "clean", "owner", "dead")
 
     def __init__(self, instance: Instance, clean: Sequence[Iterable[int]]) -> None:
         if len(clean) != instance.n + 1:
             raise PreconditionError(f"expected {instance.n + 1} clean bundles")
-        trackers = [valuation.matroid.track(bundle)
-                    for valuation, bundle in zip(instance.valuations, clean[1:])]
-        bundles = [set(clean[0]), *(tracker.goods for tracker in trackers)]
+        bundles = [set(bundle) for bundle in clean]
         owner = {g: idx for idx, bundle in enumerate(bundles) for g in bundle}
-        # No tracker answers a query before its bundle passes these checks.
+        # No matroid ranks a bundle before the bundles pass these checks.
         if sum(map(len, bundles)) != len(owner):
             raise PreconditionError("clean bundles overlap")
         if owner.keys() != set(range(instance.m)):
             raise PreconditionError("clean bundles must hold every good and no other")
-        for i, tracker in enumerate(trackers, start=1):
-            if not tracker.is_clean():
+        for i, valuation in enumerate(instance.valuations, start=1):
+            if not valuation.is_clean(bundles[i]):
                 raise PreconditionError(f"bundle of agent {i} is not clean")
         self.instance = instance
         self.clean: list[set[int]] = bundles
-        self.trackers: list[Tracker | set[int]] = [bundles[0], *trackers]
         self.owner = owner
         self.dead: set[int] = set()
 
@@ -91,7 +84,7 @@ class ExchangeGraph(MutableRecord):
             # (the pool is either the search target or skippable), so this
             # matches the rank-preservation rule wherever paths matter.
             return [h for h in range(self.instance.m) if h != g]
-        return self.trackers[j].exchanges(g)
+        return self.instance.valuations[j - 1].matroid.exchanges(self.clean[j], g)
 
     def edges(self) -> list[tuple[int, int]]:
         """Materialize every edge; intended for dumps and small instances."""
@@ -100,12 +93,15 @@ class ExchangeGraph(MutableRecord):
         ]
 
     def to_dot(self) -> str:
-        """DOT rendering with goods labelled by name and owner."""
+        """DOT rendering with goods labelled by name and owner.
+
+        A name's backslashes and double quotes are escaped, in that order,
+        so every label is a valid DOT string that reads back as the name.
+        """
         lines = ["digraph exchange {"]
-        for g in range(self.instance.m):
-            lines.append(
-                f'  g{g} [label="{self.instance.goods[g]}\\nowner {self.owner[g]}"];'
-            )
+        for g, name in enumerate(self.instance.goods):
+            name = name.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  g{g} [label="{name}\\nowner {self.owner[g]}"];')
         for g, h in self.edges():
             lines.append(f"  g{g} -> g{h};")
         lines.append("}")
@@ -156,30 +152,31 @@ def augment(graph: ExchangeGraph, path: Sequence[int], receiver: int) -> None:
 
     Every owner of a path good swaps it for the next good on the path; the
     final good leaves its bundle entirely and the first good goes to the
-    receiver. Only the path's goods move, through ``graph.trackers`` and in
-    ``graph.owner``, and ``graph.dead`` is cleared.
+    receiver. Only the path's goods move, between the sets of
+    ``graph.clean`` and in ``graph.owner``, and ``graph.dead`` is cleared.
 
-    The agent bundles the path touches are then verified from their
-    trackers: on a shortest path each keeps its size, except that the
-    receiver grows by one and the last good's owner shrinks by one, and each
-    stays clean. Any breach raises ``InternalInvariantError``, since it
+    The agent bundles the path touches are then verified: on a shortest path
+    each keeps its size, except that the receiver grows by one and the last
+    good's owner shrinks by one, and each stays clean by its valuation's
+    ``is_clean``. Any breach raises ``InternalInvariantError``, since it
     means the path was invalid; the graph is then left as the path moved it.
     """
     if not path:
         raise PreconditionError("empty transfer path")
-    clean, owner, trackers = graph.clean, graph.owner, graph.trackers
+    clean, owner = graph.clean, graph.owner
     sizes = {receiver: len(clean[receiver])}  # bundle index -> size before
     gainer = receiver
     for g in path:
         loser = owner[g]
         if loser not in sizes:
             sizes[loser] = len(clean[loser])
-        trackers[loser].remove(g)
-        trackers[gainer].add(g)
+        clean[loser].remove(g)
+        clean[gainer].add(g)
         owner[g] = gainer
         gainer = loser
     graph.dead.clear()
 
+    valuations = graph.instance.valuations
     for i, size in sizes.items():
         if not i:
             continue
@@ -188,5 +185,5 @@ def augment(graph: ExchangeGraph, path: Sequence[int], receiver: int) -> None:
             raise InternalInvariantError(
                 f"transfer path changed bundle {i} from {size} to {len(clean[i])} goods"
             )
-        if not trackers[i].is_clean():
+        if not valuations[i - 1].is_clean(clean[i]):
             raise InternalInvariantError(f"transfer path left bundle {i} unclean")

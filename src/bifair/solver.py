@@ -18,11 +18,11 @@ heaps; a pool good among the served agent's sources is its path, found
 without a search. One solver state, updated in place, keeps each fact once:
 utilities only in the pools, bundles and owners only in the exchange graph,
 provisional goods only in a map to their holders. The served agent's sources
-come from its bundle's tracker in the graph. A transfer moves only the path's
-goods between the graph's mutable bundles, and the bundles are frozen once,
-into the result. The graph also keeps the goods a failed path search
-proved unable to reach the pool, so the searches before the next transfer
-skip them; provisional hand-outs leave that record valid.
+are its matroid's ``extensions`` of its live bundle in the graph. A transfer
+moves only the path's goods between the graph's mutable bundles, and the
+bundles are frozen once, into the result. The graph also keeps the goods a
+failed path search proved unable to reach the pool, so the searches before
+the next transfer skip them; provisional hand-outs leave that record valid.
 
 A gain is a plain pair ``(escape, magnitude)`` ordered lexicographically
 by ``compare_gains``. The escape is the value added to an agent at zero
@@ -432,12 +432,14 @@ def solve(
     its pool's least entry); this is meant for tests and costs roughly a
     full rank recomputation per bundle per iteration. These checks
     and the final check of the pooled utilities call ``Matroid.rank`` on the
-    bundles themselves and read none of the trackers' own counts.
+    bundles themselves, not the ``extensions`` and ``exchanges`` queries
+    that drive the search.
     """
     criterion = criterion.bind(instance)
     state = _State(instance)
     graph = state.graph
-    pool, holder, trackers = graph.clean[0], state.holder, graph.trackers
+    clean, holder, valuations = graph.clean, state.holder, instance.valuations
+    pool = clean[0]
     in_play, benched = state.in_play, state.benched
     trace = SolveTrace()
     c = instance.c
@@ -466,7 +468,7 @@ def solve(
             i = in_play[0][1]
             if check_invariants:
                 _check_selection(in_play, i)
-            path = shortest_path(graph, trackers[i].extensions())
+            path = shortest_path(graph, valuations[i - 1].matroid.extensions(clean[i]))
             if path is None:
                 state.bench()
                 record = TraceRecord(iteration, gain_c, gain_1, i, "removed-from-play")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -109,6 +110,17 @@ class TestBuild:
         dot = graph.to_dot()
         assert dot.startswith("digraph")
         assert "g0 -> g1" in dot
+
+    def test_dot_labels_read_back_as_the_good_names(self):
+        goods = ('x"y', "a\\b")
+        instance = Instance(goods, 2, (BivaluedValuation(2, UniformMatroid(2, 1)),))
+        graph = ExchangeGraph(instance, (frozenset({1}), frozenset({0})))
+        labels = re.findall(r'  g(\d+) \[label="((?:[^"\\]|\\.)*)"\];\n', graph.to_dot())
+        assert len(labels) == 2, graph.to_dot()
+        for g, label in labels:
+            escaped, owner = label.rsplit("\\nowner ", 1)
+            assert re.sub(r"\\(.)", r"\1", escaped) == goods[int(g)]
+            assert int(owner) == graph.owner[int(g)]
 
 
 class TestClosedFormCandidates:

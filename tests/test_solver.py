@@ -570,7 +570,7 @@ def test_check_invariants_sees_a_good_held_twice():
 
 
 def test_repeated_solves_on_shared_valuations_retain_no_memory():
-    # Each solve's trackers live in its own exchange graph, so nothing a
+    # Each solve's bundles live in its own exchange graph, so nothing a
     # solve builds outlives it: 99 more solves leave what is retained as it
     # was after the first.
     instance = ladder_instance(n=60, block=20, m=120, c=3)
@@ -587,3 +587,18 @@ def test_repeated_solves_on_shared_valuations_retain_no_memory():
     finally:
         tracemalloc.stop()
     assert retained - first < 32 * 1024, (first, retained)
+
+
+def test_solver_state_holds_no_copy_of_the_marked_sets():
+    # The exchange graph asks each matroid on the live bundle, so building
+    # the state costs one empty bundle per agent, not one copy of each
+    # agent's 400 or so marked goods (about 7 MB here).
+    instance = random_instance("marked", 400, 800, 3, 1)
+    tracemalloc.start()
+    try:
+        state = _State(instance)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert state.graph.clean[0] == set(range(800))
+    assert allocated < 1 << 20, allocated

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifair.errors import MalformedMatroidError, SizeLimitError, ValidationError
+from bifair.exchange import ExchangeGraph, augment
 from bifair.io import random_instance
 from bifair.valuation import (
     BivaluedValuation,
@@ -281,46 +282,51 @@ class TestExtensions:
         assert partition.extensions(frozenset()) == [0, 1, 4, 5]
 
 
-class TestTrackers:
-    """A tracker answers as its matroid does on the bundle it has been moved to."""
+class TestExchanges:
+    """``exchanges`` answers on the bundle it is given, as its definitions do."""
 
-    def test_random_moves_agree_with_the_rank_function(self):
+    def test_random_bundles_agree_with_the_rank_definition(self):
         rng = random.Random(61)
-        steps = {family: 0 for family in FAMILIES + ("explicit",)}
-        unclean = dict.fromkeys(steps, 0)
-        for k in range(120):
+        checked = {family: 0 for family in FAMILIES + ("explicit",)}
+        clean_bundles = dict.fromkeys(checked, 0)
+        unclean_bundles = dict.fromkeys(checked, 0)
+        for k in range(400):
             family = FAMILIES[k % len(FAMILIES)]
             m = rng.randint(1, 7)
             matroid = random_instance(family, 1, m, 2, rng).valuation(1).matroid
-            start = frozenset(g for g in range(m) if rng.random() < 0.3)
+            order = rng.sample(range(m), m)
+            if k % 8 < 4:
+                # Grow a clean bundle: keep each good that raises the rank.
+                bundle = frozenset()
+                for g in order[:rng.randint(0, m)]:
+                    if brute_rank(matroid, bundle | {g}) > len(bundle):
+                        bundle |= {g}
+            else:
+                bundle = frozenset(order[:rng.randint(0, m)])
+            clean = brute_rank(matroid, bundle) == len(bundle)
             for name, candidate in ((family, matroid), ("explicit", _explicit_twin(matroid, m))):
-                bundle = set(start)
-                tracker = candidate.track(start)
-                for _ in range(12):
-                    g = rng.randrange(m)
-                    if g in bundle:
-                        bundle.remove(g)
-                        tracker.remove(g)
-                    else:
-                        bundle.add(g)
-                        tracker.add(g)
-                    assert tracker.goods == bundle
-                    assert tracker.extensions() == candidate.extensions(bundle), (name, bundle)
-                    for own in sorted(bundle):
-                        expected = [h for h in candidate.extensions(bundle - {own}) if h != own]
-                        assert tracker.exchanges(own) == expected, (name, bundle, own)
-                    clean = brute_rank(matroid, frozenset(bundle)) == len(bundle)
-                    assert tracker.is_clean() == clean, (name, bundle)
-                    steps[name] += 1
-                    unclean[name] += not clean
-        assert min(steps.values()) > 200 and min(unclean.values()) > 50, (steps, unclean)
+                for own in sorted(bundle):
+                    answer = candidate.exchanges(bundle, own)
+                    expected = [h for h in candidate.extensions(bundle - {own}) if h != own]
+                    assert answer == expected, (name, bundle, own)
+                    if clean:
+                        by_rank = [h for h in range(m) if h != own and brute_rank(
+                            matroid, bundle - {own} | {h}) == len(bundle)]
+                        assert answer == by_rank, (name, bundle, own)
+                    checked[name] += 1
+                clean_bundles[name] += clean and bool(bundle)
+                unclean_bundles[name] += not clean
+        assert min(checked.values()) > 80, checked
+        assert min(clean_bundles.values()) > 15, clean_bundles
+        assert min(unclean_bundles.values()) > 10, unclean_bundles
 
-    def test_a_tracker_copies_its_bundle(self):
-        bundle = {0, 2}
+    def test_the_exchange_graph_copies_its_bundles(self):
         for matroid in (MarkedMatroid(3, frozenset({0, 1})), UniformMatroid(3, 2)):
-            tracker = matroid.track(bundle)
-            tracker.add(1)
-            assert bundle == {0, 2} and tracker.goods == {0, 1, 2}
+            instance = Instance(("x", "y", "z"), 2, (BivaluedValuation(2, matroid),))
+            bundles = [{1, 2}, {0}]
+            graph = ExchangeGraph(instance, bundles)
+            augment(graph, (1,), 1)
+            assert bundles == [{1, 2}, {0}] and graph.clean == [{2}, {0, 1}]
 
 
 class TestCleanSubsetAndExchange:
