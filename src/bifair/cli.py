@@ -135,10 +135,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                     tuple(args.c_choices), tuple(args.criteria),
                 )
             )
-    if args.jobs > 1:
+    processes = min(args.jobs, len(jobs))  # no idle workers past the instance count
+    if processes > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(processes) as pool:
             results = pool.starmap(_oracle_check_one, jobs)
     else:
         results = [_oracle_check_one(*job) for job in jobs]

@@ -10,6 +10,7 @@ tables are audited against the rank axioms at load.
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import json
@@ -68,8 +69,10 @@ def _typed(value, kind: type, where: str, what: str):
 
 def _good_indices(names: list[str], index: dict[str, int], where: str) -> frozenset[int]:
     """The ids of a list of good names, looked up in one pass; the first bad name is named."""
+    if names.__class__ is not list:
+        _typed(names, list, where, "good names")
     try:
-        return frozenset(map(index.__getitem__, _typed(names, list, where, "good names")))
+        return frozenset(map(index.__getitem__, names))
     except (KeyError, TypeError):
         bad = next(name for name in names if not isinstance(name, str) or name not in index)
         raise ValidationError(f"{where}: unknown good {bad!r}") from None
@@ -99,15 +102,20 @@ def _parse_matroid(obj: dict, m: int, index: dict[str, int], where: str) -> Matr
         return _construct(where, UniformMatroid, m, _typed(obj["cap"], int, where, "cap"))
     if kind == "partition":
         _require_keys(obj, {"type", "parts", "caps"}, {"parts", "caps"}, where)
-        parts = tuple(
-            _good_indices(part, index, where)
-            for part in _typed(obj["parts"], list, where, "parts")
-        )
-        caps = tuple(
-            _typed(cap, int, where, "cap")
-            for cap in _typed(obj["caps"], list, where, "caps")
-        )
-        return _construct(where, PartitionMatroid, m, parts, caps)
+        parts = _typed(obj["parts"], list, where, "parts")
+        labels = [-1] * m
+        for idx, part in enumerate(parts):
+            for g in _good_indices(part, index, where):
+                if labels[g] >= 0:
+                    raise ValidationError(f"{where}: good {g} appears in two parts")
+                labels[g] = idx
+        caps = tuple(_typed(obj["caps"], list, where, "caps"))
+        if not set(map(type, caps)) <= _INT:  # no call per cap unless one is bad
+            for cap in caps:
+                _typed(cap, int, where, "cap")
+        if len(parts) != len(caps):
+            raise ValidationError(f"{where}: partition matroid needs one cap per part")
+        return _construct(where, PartitionMatroid, m, tuple(labels), caps)
     if kind == "marked":
         _require_keys(obj, {"type", "marked"}, {"marked"}, where)
         # Ids read from the index lie in the ground set, which is all the constructor checks.
@@ -224,11 +232,10 @@ def emit_matroid(matroid: Matroid, goods: tuple[str, ...]) -> dict:
     if isinstance(matroid, UniformMatroid):
         return {"type": "uniform", "cap": matroid.cap}
     if isinstance(matroid, PartitionMatroid):
-        return {
-            "type": "partition",
-            "parts": [names(part) for part in matroid.parts],
-            "caps": list(matroid.caps),
-        }
+        parts: list[list[str]] = [[] for _ in range(len(matroid.caps) + 1)]
+        for name, idx in zip(goods, matroid.labels):
+            parts[idx].append(name)  # label -1 fills the last list, which is no part
+        return {"type": "partition", "parts": parts[:-1], "caps": list(matroid.caps)}
     if isinstance(matroid, MarkedMatroid):
         return {"type": "marked", "marked": names(matroid.marked)}
     if isinstance(matroid, TransversalMatroid):
@@ -436,16 +443,14 @@ def _random_matroid(family: str, m: int, rng: random.Random) -> Matroid:
         return UniformMatroid(m, rng.randint(0, m))
     if family == "partition":
         part_count = rng.randint(1, max(1, m))
-        # Group the goods by a drawn label; label part_count leaves them uncovered.
-        members: list[list[int]] = [[] for _ in range(part_count + 1)]
-        for g in range(m):
-            members[rng.randint(0, part_count)].append(g)
-        parts, caps = [], []
-        for part in members[:-1]:
-            if part:
-                parts.append(frozenset(part))
-                caps.append(rng.randint(0, len(part)))
-        return PartitionMatroid(m, tuple(parts), tuple(caps))
+        # A drawn label of part_count leaves its good uncovered; the other drawn
+        # labels that some good holds are numbered in order, and each gets a cap.
+        drawn = [rng.randint(0, part_count) for _ in range(m)]
+        sizes = collections.Counter(drawn)
+        held = sorted(sizes.keys() - {part_count})
+        caps = tuple(rng.randint(0, sizes[label]) for label in held)
+        number = {label: k for k, label in enumerate(held)}
+        return PartitionMatroid(m, tuple(map(number.get, drawn, itertools.repeat(-1))), caps)
     if family == "transversal":
         slots = rng.randint(1, max(1, m))
         adjacency = tuple(

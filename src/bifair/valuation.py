@@ -103,33 +103,25 @@ class UniformMatroid(Matroid):
 class PartitionMatroid(Matroid):
     """Disjoint parts with per-part capacities; uncovered goods never add rank.
 
-    ``_part_of`` maps each covered good, ascending, to its part's index.
+    ``labels[g]`` is the index in ``caps`` of good g's part, or -1 when no
+    part covers g.
     """
 
-    _fields = ("m", "parts", "caps")
-    __slots__ = _fields + ("_part_of",)
+    __slots__ = _fields = ("m", "labels", "caps")
 
-    def __init__(self, m: int, parts: tuple[GoodSet, ...], caps: tuple[int, ...]) -> None:
-        if len(parts) != len(caps):
-            raise ValidationError("partition matroid needs one cap per part")
+    def __init__(self, m: int, labels: tuple[int, ...], caps: tuple[int, ...]) -> None:
+        if len(labels) != m or labels and not -1 <= min(labels) <= max(labels) < len(caps):
+            raise ValidationError(
+                f"partition matroid needs a label in -1..{len(caps) - 1} per good")
         if any(cap < 0 for cap in caps):
             raise ValidationError("partition matroid caps must be non-negative")
-        part_of: dict[int, int] = {}
-        for idx, part in enumerate(parts):
-            for g in part:
-                if not 0 <= g < m:
-                    raise ValidationError(f"good {g} outside ground set")
-                if g in part_of:
-                    raise ValidationError(f"good {g} appears in two parts")
-                part_of[g] = idx
-        self._setslots(m, parts, caps, dict(sorted(part_of.items())))
+        self._setslots(m, labels, caps)
 
     def _counts(self, goods: AbstractSet[int]) -> dict[int, int]:
         """How many of ``goods`` each part holds, for the parts holding any: O(|goods|)."""
-        part_of, counts = self._part_of, {}
-        for g in goods:
-            idx = part_of.get(g)
-            if idx is not None:
+        labels, m, counts = self.labels, self.m, {}
+        for g in goods:  # a good outside 0..m-1 is in no part; labels[-1] would wrap
+            if 0 <= g < m and (idx := labels[g]) >= 0:
                 counts[idx] = counts.get(idx, 0) + 1
         return counts
 
@@ -142,22 +134,20 @@ class PartitionMatroid(Matroid):
         return total
 
     def rank_table(self) -> list[int]:
-        table = [0]
-        for g in range(self.m):
-            idx = self._part_of.get(g)
-            if idx is None:
-                table += table
-                continue
-            part, cap = sum(1 << h for h in self.parts[idx]), self.caps[idx]
+        caps = (*self.caps, 0)  # label -1 reads the last cap: an uncovered good adds no rank
+        table, masks = [0], [0] * len(caps)  # per part, its goods below the current one
+        for g, idx in enumerate(self.labels):
+            part, cap = masks[idx], caps[idx]
             table += [r + ((mask & part).bit_count() < cap)
                       for mask, r in enumerate(table)]
+            masks[idx] = part | 1 << g
         return table
 
     def extensions(self, goods: AbstractSet[int]) -> list[int]:
         """The goods outside ``goods`` of every part that still has room, ascending."""
         counts, caps = self._counts(goods), self.caps
-        return [g for g, idx in self._part_of.items()
-                if counts.get(idx, 0) < caps[idx] and g not in goods]
+        return [g for g, idx in enumerate(self.labels)
+                if idx >= 0 and counts.get(idx, 0) < caps[idx] and g not in goods]
 
 
 class MarkedMatroid(Matroid):

@@ -32,13 +32,9 @@ def is_independent(matroid: Matroid, subset: frozenset[int]) -> bool:
     if isinstance(matroid, MarkedMatroid):
         return subset <= matroid.marked
     if isinstance(matroid, PartitionMatroid):
-        if any(
-            all(g not in part for part in matroid.parts) for g in subset
-        ):
-            return False
-        return all(
-            len(subset & part) <= cap
-            for part, cap in zip(matroid.parts, matroid.caps)
+        labels = [matroid.labels[g] for g in subset]
+        return -1 not in labels and all(
+            labels.count(idx) <= cap for idx, cap in enumerate(matroid.caps)
         )
     if isinstance(matroid, TransversalMatroid):
         goods = sorted(subset)

@@ -38,9 +38,7 @@ class TestFSet:
         assert f_set(instance, clean, 1) == frozenset()
 
     def test_partition_unfilled_parts(self):
-        matroid = PartitionMatroid(
-            5, (frozenset({0, 1}), frozenset({2, 3})), (1, 2)
-        )
+        matroid = PartitionMatroid(5, (0, 0, 1, 1, -1), (1, 2))
         instance = _instance(matroid)
         clean = (frozenset({1, 3, 4}), frozenset({0, 2}))
         expected = frozenset(
@@ -172,8 +170,8 @@ class TestShortestPath:
     def test_two_agent_steal_needs_two_hops(self):
         # Agent 1 only values good 0, held by agent 2, who can swap it for
         # the free good 1 within its own part.
-        agent1 = PartitionMatroid(2, (frozenset({0}),), (1,))
-        agent2 = PartitionMatroid(2, (frozenset({0, 1}),), (1,))
+        agent1 = PartitionMatroid(2, (0, -1), (1,))
+        agent2 = PartitionMatroid(2, (0, 0), (1,))
         instance = _instance(agent1, agent2)
         clean = (frozenset({1}), frozenset(), frozenset({0}))
         graph = ExchangeGraph(instance, clean)
@@ -242,8 +240,8 @@ class TestAugment:
         assert graph.clean == [{1, 2}, {0}]
 
     def test_two_hop_transfer_keeps_middle_owner_whole(self):
-        agent1 = PartitionMatroid(2, (frozenset({0}),), (1,))
-        agent2 = PartitionMatroid(2, (frozenset({0, 1}),), (1,))
+        agent1 = PartitionMatroid(2, (0, -1), (1,))
+        agent2 = PartitionMatroid(2, (0, 0), (1,))
         instance = _instance(agent1, agent2)
         graph = ExchangeGraph(instance, (frozenset({1}), frozenset(), frozenset({0})))
         augment(graph, (0, 1), 1)

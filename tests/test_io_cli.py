@@ -321,8 +321,12 @@ class TestGoodNameLists:
 
     def test_repeated_names_are_one_good(self):
         data = {"version": 1, "c": 3, "goods": self.GOODS,
-                "agents": [{"matroid": {"type": "marked", "marked": ["g2", "g2"]}}]}
-        assert parse_instance(data).valuation(1).matroid.marked == frozenset({1})
+                "agents": [{"matroid": {"type": "marked", "marked": ["g2", "g2"]}},
+                           {"matroid": {"type": "partition", "parts": [["g2", "g2"]],
+                                        "caps": [1]}}]}
+        instance = parse_instance(data)
+        assert instance.valuation(1).matroid.marked == frozenset({1})
+        assert instance.valuation(2).matroid.labels == (-1, 0, -1)
 
 
 # Strings that need escaping: quotes, backslashes, control and non-ASCII characters.
@@ -593,6 +597,36 @@ class TestCli:
         assert code == 0
         assert "0 mismatches" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs, count, processes", [
+        ("64", "1", None), ("64", "3", 3), ("2", "3", 2),
+    ], ids=["one-instance-inline", "pool-of-instances", "pool-of-jobs"])
+    def test_oracle_check_pool_has_no_idle_workers(self, capsys, monkeypatch, jobs, count,
+                                                   processes):
+        # The stand-in pool records its size and runs the jobs inline: no process starts.
+        import multiprocessing
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, jobs):
+                return [func(*job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        code = main(["oracle-check", "--families", "marked", "--count", count, "--max-m", "4",
+                     "--criteria", "leximin", "--jobs", jobs])
+        assert code == 0
+        assert sizes == ([] if processes is None else [processes])
+        assert f"checked {count} instances x 1 criteria" in capsys.readouterr().out
+
     def test_audit_size_limit_surfaces(self, tmp_path, capsys):
         # Five agents run; n = 3, m = 17 is over the DP's step cap.
         inst = tmp_path / "inst.json"
@@ -861,6 +895,8 @@ class TestInputContract:
                      "partition matroid caps must be non-negative", id="negative-caps"),
         pytest.param({"type": "partition", "parts": [["g1"], ["g1", "g2"]], "caps": [1, 1]},
                      "good 0 appears in two parts", id="good-in-two-parts"),
+        pytest.param({"type": "partition", "parts": [["g1", "g1"], ["g2", "g1"]], "caps": [1, 1]},
+                     "good 0 appears in two parts", id="good-twice-in-a-part-then-in-another"),
         pytest.param({"type": "partition", "parts": [["g1"], ["g2"]], "caps": [1]},
                      "partition matroid needs one cap per part", id="cap-count"),
     ])

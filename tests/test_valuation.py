@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bifair.errors import MalformedMatroidError, SizeLimitError, ValidationError
 from bifair.exchange import ExchangeGraph, augment
-from bifair.io import random_instance
+from bifair.io import _parse_matroid, emit_matroid, random_instance
 from bifair.valuation import (
     BivaluedValuation,
     ExplicitMatroid,
@@ -42,7 +42,7 @@ class TestRank:
         [
             UniformMatroid(4, 2),
             MarkedMatroid(4, frozenset({1, 3})),
-            PartitionMatroid(4, (frozenset({0, 1}),), (1,)),
+            PartitionMatroid(4, (0, 0, -1, -1), (1,)),
             TransversalMatroid(4, 2, (frozenset({0}),) * 4),
         ],
     )
@@ -50,9 +50,7 @@ class TestRank:
         assert matroid.rank(frozenset()) == 0
 
     def test_partition_rank_matches_subset_enumeration(self):
-        matroid = PartitionMatroid(
-            3, (frozenset({0, 1}), frozenset({2})), (1, 1)
-        )
+        matroid = PartitionMatroid(3, (0, 0, 1), (1, 1))
         subset = frozenset({0, 1, 2})
         assert brute_rank(matroid, subset) == 2
         assert matroid.rank(subset) == 2
@@ -63,16 +61,16 @@ class TestRank:
         rng = random.Random("partition-rank")
         for _ in range(200):
             m = rng.randint(0, 12)
-            labels = [rng.randrange(-1, 4) for _ in range(m)]
-            parts = tuple(
-                frozenset(g for g in range(m) if labels[g] == idx) for idx in range(4)
-            )
-            caps = tuple(rng.randint(0, 3) for _ in parts)
-            matroid = PartitionMatroid(m, parts, caps)
+            labels = tuple(rng.randrange(-1, 4) for _ in range(m))
+            caps = tuple(rng.randint(0, 3) for _ in range(4))
+            matroid = PartitionMatroid(m, labels, caps)
             subset = frozenset(g for g in range(-2, m + 3) if rng.random() < 0.5)
-            expected = sum(min(len(part & subset), cap) for part, cap in zip(parts, caps))
-            assert matroid.rank(subset) == expected, (parts, caps, subset)
-        assert PartitionMatroid(3, (frozenset({0, 1}),), (1,)).rank({2, 5, -1}) == 0
+            inside = [labels[g] for g in subset if 0 <= g < m]
+            expected = sum(min(inside.count(idx), cap) for idx, cap in enumerate(caps))
+            assert matroid.rank(subset) == expected, (labels, caps, subset)
+        assert PartitionMatroid(3, (0, 0, -1), (1,)).rank({2, 5, -1}) == 0
+        # Good -1 is not the last good, which a part covers.
+        assert PartitionMatroid(3, (-1, -1, 0), (1,)).rank({-1, -3}) == 0
 
     def test_transversal_rank_is_max_matching(self):
         # Goods 0 and 1 compete for slot 0; good 2 can take either slot.
@@ -84,8 +82,12 @@ class TestRank:
         assert brute_rank(matroid, frozenset({0, 1, 2})) == 2
 
     @pytest.mark.parametrize("build, message", [
-        pytest.param(lambda: PartitionMatroid(2, (frozenset({2}),), (1,)),
-                     "good 2 outside ground set", id="partition"),
+        pytest.param(lambda: PartitionMatroid(2, (0, 1), (1,)),
+                     "partition matroid needs a label in -1..0 per good", id="partition"),
+        pytest.param(lambda: PartitionMatroid(2, (0, -2), (1,)),
+                     "partition matroid needs a label in -1..0 per good", id="partition-below"),
+        pytest.param(lambda: PartitionMatroid(2, (0,), (1,)),
+                     "partition matroid needs a label in -1..0 per good", id="partition-labels"),
         pytest.param(lambda: MarkedMatroid(2, frozenset({-1})),
                      "marked good outside ground set", id="marked"),
         pytest.param(lambda: MarkedMatroid(2, frozenset({0, 2})),
@@ -273,9 +275,7 @@ class TestExtensions:
         assert UniformMatroid(5, 2).extensions(frozenset({3})) == [0, 1, 2, 4]
         assert UniformMatroid(5, 2).extensions(frozenset({1, 3})) == []
         assert MarkedMatroid(5, frozenset({4, 0, 2})).extensions(frozenset({2})) == [0, 4]
-        partition = PartitionMatroid(
-            6, (frozenset({4, 1}), frozenset({0, 5}), frozenset({3})), (1, 2, 0)
-        )
+        partition = PartitionMatroid(6, (1, 0, -1, 2, 0, 1), (1, 2, 0))
         # Part one is full, part two has room, part three has none; good 2
         # lies in no part.
         assert partition.extensions(frozenset({1, 5})) == [0]
@@ -482,9 +482,9 @@ def _table_matroid(family: str, m: int, rng: random.Random):
     if family == "uniform":
         return UniformMatroid(m, rng.randint(0, m + 2))
     if family == "partition":
-        labels = [rng.randint(0, 3) for _ in range(m)]  # label 3: in no part
-        parts = tuple(frozenset(g for g in range(m) if labels[g] == p) for p in range(3))
-        return PartitionMatroid(m, parts, tuple(rng.randint(0, len(p)) for p in parts))
+        labels = tuple(rng.randint(-1, 2) for _ in range(m))  # label -1: in no part
+        return PartitionMatroid(m, labels, tuple(rng.randint(0, labels.count(p))
+                                                 for p in range(3)))
     if family == "transversal":
         slots = rng.randint(0, m)
         return TransversalMatroid(m, slots, tuple(
@@ -506,20 +506,45 @@ def test_bundle_value_table_matches_direct():
                 assert bundle_value_table(val) == [val.value(s) for s in subsets]
 
 
+def _labelled(seed: int) -> PartitionMatroid:
+    """Seven goods labelled at random into five parts: parts 1 and 4 hold no
+    good, and good 0, maybe others, lies in none."""
+    rng = random.Random(seed)
+    labels = (-1,) + tuple(rng.choice((-1, 0, 2, 3)) for _ in range(6))
+    return PartitionMatroid(7, labels, tuple(rng.randint(0, 3) for _ in range(5)))
+
+
 class TestValueTables:
     """Closed-form rank tables on the cases a closed form gets wrong first."""
 
     @pytest.mark.parametrize("matroid", [
         pytest.param(UniformMatroid(4, 0), id="uniform-cap-0"),
         pytest.param(UniformMatroid(3, 7), id="uniform-cap-past-m"),
-        pytest.param(PartitionMatroid(5, (frozenset({0, 1}), frozenset({3})), (0, 1)),
+        pytest.param(PartitionMatroid(5, (0, 0, -1, 1, -1), (0, 1)),
                      id="partition-cap-0-and-uncovered"),
+        *(pytest.param(_labelled(seed), id=f"partition-labels-{seed}") for seed in range(4)),
         pytest.param(TransversalMatroid(3, 2, (frozenset(), frozenset({1}), frozenset())),
                      id="transversal-goods-without-slots"),
         pytest.param(TransversalMatroid(3, 0, (frozenset(),) * 3), id="transversal-no-slots"),
     ])
     def test_edge_cases(self, matroid):
-        assert matroid.rank_table() == [brute_rank(matroid, s) for s in _subsets(matroid.m)]
+        # Every query on every bundle matches enumeration, and the matroid
+        # comes back equal from its file form.
+        m, subsets = matroid.m, _subsets(matroid.m)
+        brute = [brute_rank(matroid, s) for s in subsets]
+        assert matroid.rank_table() == brute
+        for mask, s in enumerate(subsets):
+            assert matroid.rank(s) == brute[mask]
+            assert matroid.extensions(s) == [
+                h for h in range(m) if h not in s and brute[mask | 1 << h] > brute[mask]]
+            for own in s:
+                rest = mask ^ 1 << own
+                assert matroid.exchanges(s, own) == [
+                    h for h in range(m)
+                    if h != own and h not in s and brute[rest | 1 << h] > brute[rest]], (s, own)
+        goods = tuple(f"g{g}" for g in range(m))
+        index = {name: g for g, name in enumerate(goods)}
+        assert _parse_matroid(emit_matroid(matroid, goods), m, index, "agent 1") == matroid
 
     @pytest.mark.parametrize("matroid", [
         MarkedMatroid(0, frozenset()),
