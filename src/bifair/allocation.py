@@ -25,9 +25,6 @@ class Allocation(Record):
 
     __slots__ = _fields = ("bundles",)
 
-    def __init__(self, bundles: tuple[GoodSet, ...]) -> None:
-        self._setslots(bundles)
-
     def bundle(self, i: int) -> GoodSet:
         return self.bundles[i]
 
@@ -59,9 +56,6 @@ class Decomposition(Record):
     """
 
     __slots__ = _fields = ("clean", "supplementary")
-
-    def __init__(self, clean: tuple[GoodSet, ...], supplementary: tuple[GoodSet, ...]) -> None:
-        self._setslots(clean, supplementary)
 
     def union(self) -> Allocation:
         """Recombine the two parts into the allocation they decompose."""

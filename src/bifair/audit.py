@@ -25,6 +25,16 @@ def leximin_mms_threshold(c: int) -> Fraction:
     return Fraction(1, c + 2)
 
 
+def _pairs(instance: Instance, allocation: Allocation):
+    """Every ordered pair (i, j) of distinct agents, in order, as
+    ``(i, j, v_i(X_i), X_j)``."""
+    for i in instance.agents:
+        own = instance.value(i, allocation.bundle(i))
+        for j in instance.agents:
+            if i != j:
+                yield i, j, own, allocation.bundle(j)
+
+
 def check_ef1(instance: Instance, allocation: Allocation) -> tuple[bool, tuple[int, int] | None]:
     """Envy-freeness up to one good.
 
@@ -32,16 +42,9 @@ def check_ef1(instance: Instance, allocation: Allocation) -> tuple[bool, tuple[i
     single good whose removal kills the envy (vacuously when X_j is empty).
     Returns the first violating ordered pair (i, j) otherwise.
     """
-    for i in instance.agents:
-        own = instance.value(i, allocation.bundle(i))
-        for j in instance.agents:
-            if i == j:
-                continue
-            other = allocation.bundle(j)
-            if not other:
-                continue
-            if all(own < instance.value(i, other - {g}) for g in other):
-                return False, (i, j)
+    for i, j, own, other in _pairs(instance, allocation):
+        if other and all(own < instance.value(i, other - {g}) for g in other):
+            return False, (i, j)
     return True, None
 
 
@@ -49,14 +52,10 @@ def check_efx(
     instance: Instance, allocation: Allocation
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """Envy-freeness up to any good: removal of every single good must help."""
-    for i in instance.agents:
-        own = instance.value(i, allocation.bundle(i))
-        for j in instance.agents:
-            if i == j:
-                continue
-            for g in sorted(allocation.bundle(j)):
-                if own < instance.value(i, allocation.bundle(j) - {g}):
-                    return False, (i, j, g)
+    for i, j, own, other in _pairs(instance, allocation):
+        for g in sorted(other):
+            if own < instance.value(i, other - {g}):
+                return False, (i, j, g)
     return True, None
 
 
@@ -142,10 +141,6 @@ class MmsRatioRow(Record):
 
     __slots__ = _fields = ("agent", "utility", "mms", "ratio", "threshold", "meets_threshold")
 
-    def __init__(self, agent: int, utility: int, mms: int, ratio: Fraction | None,
-                 threshold: Fraction | None, meets_threshold: bool) -> None:
-        self._setslots(agent, utility, mms, ratio, threshold, meets_threshold)
-
 
 def mms_ratio_report(
     instance: Instance,
@@ -185,22 +180,6 @@ class AuditReport(Record):
 
     __slots__ = _fields = ("utilities", "nash_positive_count", "nash_product", "usw", "pmean",
                            "ef1", "ef1_witness", "efx", "efx_witness", "mms_rows")
-
-    def __init__(
-        self,
-        utilities: tuple[int, ...],
-        nash_positive_count: int,
-        nash_product: int,
-        usw: int,
-        pmean: dict[float, float],
-        ef1: bool,
-        ef1_witness: tuple[int, int] | None,
-        efx: bool,
-        efx_witness: tuple[int, int, int] | None,
-        mms_rows: tuple[MmsRatioRow, ...] | None,
-    ) -> None:
-        self._setslots(utilities, nash_positive_count, nash_product, usw, pmean,
-                       ef1, ef1_witness, efx, efx_witness, mms_rows)
 
     def to_dict(self) -> dict:
         report: dict = {
@@ -276,14 +255,7 @@ def audit_allocation(
     if with_mms:
         rows = tuple(mms_ratio_report(instance, allocation, criterion_hint))
     return AuditReport(
-        utilities=utility_vector(instance, allocation),
-        nash_positive_count=count,
-        nash_product=product,
-        usw=usw(instance, allocation),
-        pmean={p: pmean_welfare(instance, allocation, p) for p in pmean_ps},
-        ef1=ef1_ok,
-        ef1_witness=ef1_witness,
-        efx=efx_ok,
-        efx_witness=efx_witness,
-        mms_rows=rows,
+        utility_vector(instance, allocation), count, product, usw(instance, allocation),
+        {p: pmean_welfare(instance, allocation, p) for p in pmean_ps},
+        ef1_ok, ef1_witness, efx_ok, efx_witness, rows,
     )

@@ -121,9 +121,6 @@ class BruteForceResult(Record):
 
     __slots__ = _fields = ("optimal_vectors",)
 
-    def __init__(self, optimal_vectors: frozenset[tuple[int, ...]]) -> None:
-        self._setslots(optimal_vectors)
-
     @property
     def sorted_optima(self) -> frozenset[tuple[int, ...]]:
         return frozenset(tuple(sorted(v)) for v in self.optimal_vectors)
@@ -181,9 +178,6 @@ def brute_force_optima(
 
 class CertificationVerdict(Record):
     __slots__ = _fields = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str) -> None:
-        self._setslots(ok, reason)
 
 
 def certify_dominating(

@@ -253,19 +253,10 @@ class TraceRecord(NamedTuple):
     replacement: int | None = None
 
     def to_dict(self) -> dict:
-        record: dict = {
-            "iteration": self.iteration,
-            "gain_c": self.gain_c,
-            "gain_1": self.gain_1,
-            "agent": self.agent,
-            "action": self.action,
-        }
+        """The fields that are not None, in field order, with the path as a list."""
+        record = {name: value for name, value in zip(self._fields, self) if value is not None}
         if self.path is not None:
             record["path"] = list(self.path)
-        if self.good is not None:
-            record["good"] = self.good
-        if self.replacement is not None:
-            record["replacement"] = self.replacement
         return record
 
 
@@ -301,10 +292,6 @@ class SolveTrace(MutableRecord):
 
 class SolveResult(Record):
     __slots__ = _fields = ("allocation", "decomposition", "trace", "utilities")
-
-    def __init__(self, allocation: Allocation, decomposition: Decomposition,
-                 trace: SolveTrace, utilities: tuple[int, ...]) -> None:
-        self._setslots(allocation, decomposition, trace, utilities)
 
     @property
     def sorted_utilities(self) -> tuple[int, ...]:

@@ -81,6 +81,8 @@ class UniformMatroid(Matroid):
     __slots__ = _fields = ("m", "cap")
 
     def __init__(self, m: int, cap: int) -> None:
+        if cap.__class__ is not int:
+            raise ValidationError(f"uniform matroid cap must be an integer, got {cap!r}")
         if cap < 0:
             raise ValidationError("uniform matroid cap must be non-negative")
         self._setslots(m, cap)
@@ -110,9 +112,12 @@ class PartitionMatroid(Matroid):
     __slots__ = _fields = ("m", "labels", "caps")
 
     def __init__(self, m: int, labels: tuple[int, ...], caps: tuple[int, ...]) -> None:
-        if len(labels) != m or labels and not -1 <= min(labels) <= max(labels) < len(caps):
+        if len(labels) != m or labels and not (
+                set(map(type, labels)) == {int} and -1 <= min(labels) <= max(labels) < len(caps)):
             raise ValidationError(
                 f"partition matroid needs a label in -1..{len(caps) - 1} per good")
+        if not set(map(type, caps)) <= {int}:
+            raise ValidationError(f"partition matroid caps must be integers, got {caps!r}")
         if any(cap < 0 for cap in caps):
             raise ValidationError("partition matroid caps must be non-negative")
         self._setslots(m, labels, caps)
@@ -193,10 +198,12 @@ class TransversalMatroid(Matroid):
     def __init__(self, m: int, slots: int, adjacency: tuple[GoodSet, ...]) -> None:
         if len(adjacency) != m:
             raise ValidationError("transversal adjacency must cover every good")
+        if slots.__class__ is not int:
+            raise ValidationError(f"slot count must be an integer, got {slots!r}")
         if slots < 0:
             raise ValidationError("slot count must be non-negative")
         for g, reach in enumerate(adjacency):
-            if any(not 0 <= s < slots for s in reach):
+            if any(s.__class__ is not int or not 0 <= s < slots for s in reach):
                 raise ValidationError(f"good {g} adjacent to unknown slot")
         self._setslots(m, slots, adjacency)
 
@@ -403,7 +410,7 @@ class Instance(Record):
             agent_names = tuple(f"agent{i}" for i in range(1, n + 1))
         if len(agent_names) != n:
             raise ValidationError("one name per agent required")
-        if scale < 1:
+        if scale.__class__ is not int or scale < 1:
             raise ValidationError("scale must be a positive integer")
         for val in valuations:
             if val.c != c:
@@ -450,10 +457,6 @@ class AxiomViolation(Record):
     """One failed rank-axiom check in an explicit table."""
 
     __slots__ = _fields = ("axiom", "subset", "goods", "detail")
-
-    def __init__(self, axiom: str, subset: tuple[int, ...], goods: tuple[int, ...],
-                 detail: str) -> None:
-        self._setslots(axiom, subset, goods, detail)
 
 
 def validate_explicit(valuation: BivaluedValuation) -> list[AxiomViolation]:

@@ -64,6 +64,8 @@ MUTABLE = {
 }
 # Classes holding a list or dict field hash as that field does: not at all.
 UNHASHABLE_FIELDS = {"SolveResult", "AuditReport"}
+# Instance's last fields have defaults, so one value fewer still builds one.
+DEFAULTED_FIELDS = {"Instance"}
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN) + sorted(MUTABLE))
@@ -107,6 +109,23 @@ class TestContract:
         obj = self._make(name)
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert type(twin) is type(obj) and twin == obj
+
+    def test_fields_build_it_by_position_or_by_name(self, name):
+        if name in MUTABLE:
+            pytest.skip("the constructor contract covers frozen records only")
+        obj = self._make(name)
+        cls, fields, values = type(obj), obj._fields, obj._values()
+        assert cls(*values) == obj
+        assert cls(**dict(zip(fields, values))) == obj
+        assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == obj
+        bad_calls = [((*values, None), {}),
+                     (values, {"undeclared": None}),
+                     (values, {fields[0]: values[0]})]
+        if name not in DEFAULTED_FIELDS:
+            bad_calls.append((values[:-1], {}))
+        for args, named in bad_calls:
+            with pytest.raises(TypeError):
+                cls(*args, **named)
 
     def test_repr_names_the_class_and_its_fields(self, name):
         obj = self._make(name)

@@ -94,6 +94,29 @@ class TestRank:
                      "marked good outside ground set", id="marked-past-m"),
         pytest.param(lambda: TransversalMatroid(2, 1, (frozenset({0}),)),
                      "transversal adjacency must cover every good", id="transversal"),
+        # A bool is not an integer; a float cap or label once reached the solver.
+        pytest.param(lambda: UniformMatroid(3, 1.5),
+                     "uniform matroid cap must be an integer, got 1.5", id="uniform-cap"),
+        pytest.param(lambda: UniformMatroid(3, True),
+                     "uniform matroid cap must be an integer, got True", id="uniform-cap-bool"),
+        pytest.param(lambda: PartitionMatroid(3, (0, 0, 0), (1.5,)),
+                     r"partition matroid caps must be integers, got \(1.5,\)", id="partition-cap"),
+        pytest.param(lambda: PartitionMatroid(2, (0, 0), (True,)),
+                     r"partition matroid caps must be integers, got \(True,\)",
+                     id="partition-cap-bool"),
+        pytest.param(lambda: PartitionMatroid(2, (0.5, 0), (1,)),
+                     "partition matroid needs a label in -1..0 per good", id="partition-label"),
+        pytest.param(lambda: PartitionMatroid(2, (False, 1), (1, 1)),
+                     "partition matroid needs a label in -1..1 per good",
+                     id="partition-label-bool"),
+        pytest.param(lambda: TransversalMatroid(1, 1.0, (frozenset({0}),)),
+                     "slot count must be an integer, got 1.0", id="transversal-slots"),
+        pytest.param(lambda: TransversalMatroid(1, True, (frozenset(),)),
+                     "slot count must be an integer, got True", id="transversal-slots-bool"),
+        pytest.param(lambda: TransversalMatroid(1, 2, (frozenset({0.5}),)),
+                     "good 0 adjacent to unknown slot", id="transversal-slot-id"),
+        pytest.param(lambda: TransversalMatroid(1, 2, (frozenset({True}),)),
+                     "good 0 adjacent to unknown slot", id="transversal-slot-id-bool"),
     ])
     def test_constructor_refusals(self, build, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -594,6 +617,8 @@ class TestInstanceRefusals:
         pytest.param({"agent_names": ("a", "b")}, "one name per agent required",
                      id="name-count"),
         pytest.param({"scale": 0}, "scale must be a positive integer", id="scale"),
+        pytest.param({"scale": 1.5}, "scale must be a positive integer", id="scale-float"),
+        pytest.param({"scale": True}, "scale must be a positive integer", id="scale-bool"),
         pytest.param({"valuations": (BivaluedValuation(2, UniformMatroid(3, 1)),)},
                      "matroid is defined over 3 goods, instance has 2", id="ground-set"),
     ])
